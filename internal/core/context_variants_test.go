@@ -83,7 +83,7 @@ func TestListContextWithVariantsDefaultIsFirst(t *testing.T) {
 	if got := ctx.CurrentVariant(); got != collections.LinkedListID {
 		t.Fatalf("default = %s, want first supplied variant", got)
 	}
-	if _, ok := ctx.NewList().(*monitoredList[int]); !ok {
+	if !isMonitoredList(ctx.NewList()) {
 		t.Fatal("instances not monitored")
 	}
 }

@@ -24,8 +24,11 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/url"
 	"runtime"
 	"strconv"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -97,9 +100,9 @@ type Service struct {
 	kvCtx    *core.MapContext[int64, int64]
 	rangeCtx *core.SetContext[int64]
 
-	sets   *keyedShards[collections.Set[int64]]
-	kv     *keyedShards[collections.Map[int64, int64]]
-	ranges *keyedShards[collections.Set[int64]]
+	sets   *keyedShards[string, collections.Set[int64]]
+	kv     *keyedShards[int64, collections.Map[int64, int64]]
+	ranges *keyedShards[string, collections.Set[int64]]
 
 	ops      [workload.NumServiceOps]atomic.Int64
 	badReqs  atomic.Int64
@@ -161,9 +164,9 @@ func New(cfg Config) (*Service, error) {
 		return nil, err
 	}
 
-	s.sets = newKeyedShards[collections.Set[int64]](cfg.Shards, cfg.MaxKeysPerShard)
-	s.kv = newKeyedShards[collections.Map[int64, int64]](cfg.Shards, cfg.MaxKeysPerShard)
-	s.ranges = newKeyedShards[collections.Set[int64]](cfg.Shards, cfg.MaxKeysPerShard)
+	s.sets = newKeyedShards[string, collections.Set[int64]](cfg.Shards, cfg.MaxKeysPerShard)
+	s.kv = newKeyedShards[int64, collections.Map[int64, int64]](cfg.Shards, cfg.MaxKeysPerShard)
+	s.ranges = newKeyedShards[string, collections.Set[int64]](cfg.Shards, cfg.MaxKeysPerShard)
 
 	s.diagSrv = diag.New(s.reg, s.rec)
 	if s.cfg.Timeouts == (diag.Timeouts{}) {
@@ -281,24 +284,63 @@ func (s *Service) Addr() string { return s.addr }
 // service is meant to keep running (the collserve fail-fast path).
 func (s *Service) Err() <-chan error { return s.serveErr }
 
-// Handler returns the full route table: store endpoints first, the diag
-// introspection surface (/metrics, /sites, /events, /debug/vars) as the
-// fallback.
+// storePaths are the store routes. Handler matches them exactly, ahead of
+// the ServeMux.
+var storePaths = [...]string{
+	"/set/add", "/set/has", "/set/rem", "/set/drop",
+	"/kv/put", "/kv/get",
+	"/range/add", "/range/scan", "/range/drop",
+}
+
+// serveStore serves the store route path and reports whether path is one.
+func (s *Service) serveStore(w http.ResponseWriter, r *http.Request, path string) bool {
+	switch path {
+	case "/set/add":
+		s.handleSet(w, r, workload.OpSetAdd)
+	case "/set/has":
+		s.handleSet(w, r, workload.OpSetHas)
+	case "/set/rem":
+		s.handleSetRem(w, r)
+	case "/set/drop":
+		s.handleSetDrop(w, r)
+	case "/kv/put":
+		s.handleKV(w, r, workload.OpKVPut)
+	case "/kv/get":
+		s.handleKV(w, r, workload.OpKVGet)
+	case "/range/add":
+		s.handleRangeAdd(w, r)
+	case "/range/scan":
+		s.handleRangeScan(w, r)
+	case "/range/drop":
+		s.handleRangeDrop(w, r)
+	default:
+		return false
+	}
+	return true
+}
+
+// Handler returns the full route table. A request whose path is exactly a
+// store route is served directly, because ServeMux routing costs more than
+// the store operation behind a point request. Every other request goes to
+// a ServeMux: store endpoints first, the diag introspection surface
+// (/metrics, /sites, /events, /debug/vars) as the fallback. The mux cleans
+// and redirects paths, matches escaped ones and serves 404s. RawPath is
+// set only when the path carries escapes of its own, which the mux matches
+// on.
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/set/add", s.handleSet(workload.OpSetAdd))
-	mux.HandleFunc("/set/has", s.handleSet(workload.OpSetHas))
-	mux.HandleFunc("/set/rem", s.handleSetRem)
-	mux.HandleFunc("/set/drop", s.handleSetDrop)
-	mux.HandleFunc("/kv/put", s.handleKV(workload.OpKVPut))
-	mux.HandleFunc("/kv/get", s.handleKV(workload.OpKVGet))
-	mux.HandleFunc("/range/add", s.handleRangeAdd)
-	mux.HandleFunc("/range/scan", s.handleRangeScan)
-	mux.HandleFunc("/range/drop", s.handleRangeDrop)
+	for _, p := range storePaths {
+		mux.HandleFunc(p, func(w http.ResponseWriter, r *http.Request) { s.serveStore(w, r, p) })
+	}
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/stats", s.handleStats)
 	mux.Handle("/", s.diagSrv.Handler())
-	return mux
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.RawPath == "" && s.serveStore(w, r, r.URL.Path) {
+			return
+		}
+		mux.ServeHTTP(w, r)
+	})
 }
 
 // Start binds addr (":0" picks a free port) and serves the handler on a
@@ -365,9 +407,41 @@ func (s *Service) Shutdown(ctx context.Context) error {
 
 // --- request handlers -------------------------------------------------------
 
+// queryValue returns the first value of name in the raw query string, the
+// same as url.ParseQuery(raw).Get(name), in one pass over raw. Like
+// ParseQuery it skips pairs that contain ';' and pairs whose key or value
+// fails to unescape. It allocates only to unescape a key or value that
+// carries '%' or '+'.
+func queryValue(raw, name string) string {
+	for raw != "" {
+		var pair string
+		pair, raw, _ = strings.Cut(raw, "&")
+		if pair == "" || strings.IndexByte(pair, ';') >= 0 {
+			continue
+		}
+		key, value, _ := strings.Cut(pair, "=")
+		if key, ok := unescape(key); !ok || key != name {
+			continue
+		}
+		if value, ok := unescape(value); ok {
+			return value
+		}
+	}
+	return ""
+}
+
+// unescape query-unescapes s, leaving s as it is when it has no escapes.
+func unescape(s string) (string, bool) {
+	if strings.IndexByte(s, '%') < 0 && strings.IndexByte(s, '+') < 0 {
+		return s, true
+	}
+	u, err := url.QueryUnescape(s)
+	return u, err == nil
+}
+
 // qInt64 parses a required int64 query parameter.
-func qInt64(r *http.Request, name string) (int64, error) {
-	v := r.URL.Query().Get(name)
+func qInt64(query, name string) (int64, error) {
+	v := queryValue(query, name)
 	if v == "" {
 		return 0, fmt.Errorf("missing %q", name)
 	}
@@ -384,8 +458,8 @@ func qInt64(r *http.Request, name string) (int64, error) {
 // framing, the dominant term the latency histograms see.
 const maxBatch = 64
 
-func qCount(r *http.Request) int {
-	v := r.URL.Query().Get("cnt")
+func qCount(query string) int {
+	v := queryValue(query, "cnt")
 	if v == "" {
 		return 1
 	}
@@ -409,52 +483,74 @@ func (s *Service) badRequest(w http.ResponseWriter, err error) {
 	http.Error(w, err.Error(), http.StatusBadRequest)
 }
 
-func reply(w http.ResponseWriter, body string) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintln(w, body)
+// Replies are written from preformatted bytes, or formatted into a pooled
+// buffer, so a store request allocates nothing for its reply.
+var (
+	plainText  = []string{"text/plain; charset=utf-8"}
+	replyFalse = []byte("0\n")
+	replyTrue  = []byte("1\n")
+	replyMiss  = []byte("miss\n")
+	replyOK    = []byte("ok\n")
+	replyBufs  = sync.Pool{New: func() any { return new([]byte) }}
+)
+
+// reply writes a text/plain body. It assigns the shared Content-Type value
+// rather than calling Header.Set, which allocates a slice per call; the
+// server only reads it.
+func reply(w http.ResponseWriter, body []byte) {
+	w.Header()["Content-Type"] = plainText
+	w.Write(body)
 }
 
 func replyBool(w http.ResponseWriter, b bool) {
 	if b {
-		reply(w, "1")
+		reply(w, replyTrue)
 	} else {
-		reply(w, "0")
+		reply(w, replyFalse)
 	}
+}
+
+// replyWith writes the body that fill appends to an empty pooled buffer.
+func replyWith(w http.ResponseWriter, fill func([]byte) []byte) {
+	bp := replyBufs.Get().(*[]byte)
+	*bp = fill((*bp)[:0])
+	reply(w, *bp)
+	replyBufs.Put(bp)
 }
 
 // handleSet serves /set/add and /set/has over the keyed membership sets.
-func (s *Service) handleSet(op workload.ServiceOp) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		key := r.URL.Query().Get("key")
-		if key == "" {
-			s.badRequest(w, fmt.Errorf("missing %q", "key"))
-			return
-		}
-		m, err := qInt64(r, "m")
-		if err != nil {
-			s.badRequest(w, err)
-			return
-		}
-		s.ops[op].Add(1)
-		var res bool
-		if op == workload.OpSetAdd {
-			cnt := qCount(r)
-			s.sets.write(key, func() collections.Set[int64] { return s.setCtx.NewSet() },
-				func(set collections.Set[int64]) {
-					for i := 0; i < cnt; i++ {
-						res = set.Add(m+int64(i)*batchStride) || res
-					}
-				})
-		} else {
-			s.sets.read(key, func(set collections.Set[int64]) { res = set.Contains(m) })
-		}
-		replyBool(w, res)
+func (s *Service) handleSet(w http.ResponseWriter, r *http.Request, op workload.ServiceOp) {
+	q := r.URL.RawQuery
+	key := queryValue(q, "key")
+	if key == "" {
+		s.badRequest(w, fmt.Errorf("missing %q", "key"))
+		return
 	}
+	m, err := qInt64(q, "m")
+	if err != nil {
+		s.badRequest(w, err)
+		return
+	}
+	s.ops[op].Add(1)
+	var res bool
+	if op == workload.OpSetAdd {
+		cnt := qCount(q)
+		s.sets.write(key, func() collections.Set[int64] { return s.setCtx.NewSet() },
+			func(set collections.Set[int64]) {
+				for i := 0; i < cnt; i++ {
+					res = set.Add(m+int64(i)*batchStride) || res
+				}
+			})
+	} else {
+		s.sets.read(key, func(set collections.Set[int64]) { res = set.Contains(m) })
+	}
+	replyBool(w, res)
 }
 
 func (s *Service) handleSetRem(w http.ResponseWriter, r *http.Request) {
-	key := r.URL.Query().Get("key")
-	m, err := qInt64(r, "m")
+	q := r.URL.RawQuery
+	key := queryValue(q, "key")
+	m, err := qInt64(q, "m")
 	if key == "" || err != nil {
 		s.badRequest(w, fmt.Errorf("need key and m"))
 		return
@@ -467,7 +563,7 @@ func (s *Service) handleSetRem(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Service) handleSetDrop(w http.ResponseWriter, r *http.Request) {
-	key := r.URL.Query().Get("key")
+	key := queryValue(r.URL.RawQuery, "key")
 	if key == "" {
 		s.badRequest(w, fmt.Errorf("missing %q", "key"))
 		return
@@ -476,53 +572,50 @@ func (s *Service) handleSetDrop(w http.ResponseWriter, r *http.Request) {
 	replyBool(w, s.sets.remove(key))
 }
 
-// kvBucket groups 2^shift consecutive int keys into one engine-managed map.
-func (s *Service) kvBucket(k int64) string {
-	return strconv.FormatInt(k>>s.cfg.KVBucketShift, 36)
-}
-
-// handleKV serves /kv/put and /kv/get over the bucketed int→int map store.
-func (s *Service) handleKV(op workload.ServiceOp) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		k, err := qInt64(r, "k")
+// handleKV serves /kv/put and /kv/get over the bucketed int→int map store:
+// bucket k>>KVBucketShift groups 2^shift consecutive keys into one
+// engine-managed map.
+func (s *Service) handleKV(w http.ResponseWriter, r *http.Request, op workload.ServiceOp) {
+	q := r.URL.RawQuery
+	k, err := qInt64(q, "k")
+	if err != nil {
+		s.badRequest(w, err)
+		return
+	}
+	s.ops[op].Add(1)
+	bucket := k >> s.cfg.KVBucketShift
+	if op == workload.OpKVPut {
+		v, err := qInt64(q, "v")
 		if err != nil {
 			s.badRequest(w, err)
 			return
 		}
-		s.ops[op].Add(1)
-		bucket := s.kvBucket(k)
-		if op == workload.OpKVPut {
-			v, err := qInt64(r, "v")
-			if err != nil {
-				s.badRequest(w, err)
-				return
-			}
-			var had bool
-			s.kv.write(bucket, func() collections.Map[int64, int64] { return s.kvCtx.NewMap() },
-				func(m collections.Map[int64, int64]) { _, had = m.Put(k, v) })
-			replyBool(w, had)
-			return
-		}
-		var v int64
-		var ok bool
-		s.kv.read(bucket, func(m collections.Map[int64, int64]) { v, ok = m.Get(k) })
-		if !ok {
-			reply(w, "miss")
-			return
-		}
-		reply(w, strconv.FormatInt(v, 10))
+		var had bool
+		s.kv.write(bucket, func() collections.Map[int64, int64] { return s.kvCtx.NewMap() },
+			func(m collections.Map[int64, int64]) { _, had = m.Put(k, v) })
+		replyBool(w, had)
+		return
 	}
+	var v int64
+	var ok bool
+	s.kv.read(bucket, func(m collections.Map[int64, int64]) { v, ok = m.Get(k) })
+	if !ok {
+		reply(w, replyMiss)
+		return
+	}
+	replyWith(w, func(b []byte) []byte { return append(strconv.AppendInt(b, v, 10), '\n') })
 }
 
 func (s *Service) handleRangeAdd(w http.ResponseWriter, r *http.Request) {
-	series := r.URL.Query().Get("series")
-	t, err := qInt64(r, "t")
+	q := r.URL.RawQuery
+	series := queryValue(q, "series")
+	t, err := qInt64(q, "t")
 	if series == "" || err != nil {
 		s.badRequest(w, fmt.Errorf("need series and t"))
 		return
 	}
 	s.ops[workload.OpRangeAdd].Add(1)
-	cnt := qCount(r)
+	cnt := qCount(q)
 	var res bool
 	s.ranges.write(series, func() collections.Set[int64] { return s.rangeCtx.NewSet() },
 		func(set collections.Set[int64]) {
@@ -533,23 +626,36 @@ func (s *Service) handleRangeAdd(w http.ResponseWriter, r *http.Request) {
 	replyBool(w, res)
 }
 
+// scanWindow accumulates the count and sum of a range scan's elements that
+// fall in [lo, hi]; the scan moves the bounds from window to window.
+type scanWindow struct{ lo, hi, count, sum int64 }
+
+func (a *scanWindow) visit(v int64) bool {
+	if v >= a.lo && v <= a.hi {
+		a.count++
+		a.sum += v
+	}
+	return true
+}
+
 // handleRangeScan answers an ordered scan over one series: count and sum of
 // the elements in [from, to]. When the live instance is a sorted variant it
 // answers via Range in O(log n + k); otherwise it falls back to a full
 // filtered iteration — the asymmetry the engine's scan-phase switches buy.
 func (s *Service) handleRangeScan(w http.ResponseWriter, r *http.Request) {
-	series := r.URL.Query().Get("series")
-	from, err1 := qInt64(r, "from")
-	to, err2 := qInt64(r, "to")
+	q := r.URL.RawQuery
+	series := queryValue(q, "series")
+	from, err1 := qInt64(q, "from")
+	to, err2 := qInt64(q, "to")
 	if series == "" || err1 != nil || err2 != nil {
 		s.badRequest(w, fmt.Errorf("need series, from, to"))
 		return
 	}
 	s.ops[workload.OpRangeScan].Add(1)
-	cnt := qCount(r)
+	cnt := qCount(q)
 	width := to - from
-	var count int64
-	var sum int64
+	acc := &scanWindow{}
+	visit := acc.visit // one callback for every window of the request
 	sorted := false
 	s.ranges.read(series, func(set collections.Set[int64]) {
 		ss, isSorted := set.(collections.SortedSet[int64])
@@ -557,29 +663,26 @@ func (s *Service) handleRangeScan(w http.ResponseWriter, r *http.Request) {
 		// cnt stepped windows [from+i*width, to+i*width] — one dashboard
 		// query over many adjacent buckets.
 		for i := 0; i < cnt; i++ {
-			lo, hi := from+int64(i)*width, to+int64(i)*width
+			acc.lo, acc.hi = from+int64(i)*width, to+int64(i)*width
 			if isSorted {
-				ss.Range(lo, hi, func(v int64) bool {
-					count++
-					sum += v
-					return true
-				})
-				continue
+				ss.Range(acc.lo, acc.hi, visit)
+			} else {
+				set.ForEach(visit)
 			}
-			set.ForEach(func(v int64) bool {
-				if v >= lo && v <= hi {
-					count++
-					sum += v
-				}
-				return true
-			})
 		}
 	})
-	reply(w, fmt.Sprintf("%d %d sorted=%v", count, sum, sorted))
+	replyWith(w, func(b []byte) []byte {
+		b = strconv.AppendInt(b, acc.count, 10)
+		b = append(b, ' ')
+		b = strconv.AppendInt(b, acc.sum, 10)
+		b = append(b, " sorted="...)
+		b = strconv.AppendBool(b, sorted)
+		return append(b, '\n')
+	})
 }
 
 func (s *Service) handleRangeDrop(w http.ResponseWriter, r *http.Request) {
-	series := r.URL.Query().Get("series")
+	series := queryValue(r.URL.RawQuery, "series")
 	if series == "" {
 		s.badRequest(w, fmt.Errorf("missing %q", "series"))
 		return
@@ -593,7 +696,7 @@ func (s *Service) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "draining", http.StatusServiceUnavailable)
 		return
 	}
-	reply(w, "ok")
+	reply(w, replyOK)
 }
 
 // statsSnapshot is the /stats payload: the service-side view a load harness

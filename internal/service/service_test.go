@@ -345,7 +345,7 @@ func TestUnknownFixedModeRejected(t *testing.T) {
 // TestStoreEviction pins the churn mechanism selection depends on: past the
 // per-shard cap, the oldest keys die.
 func TestStoreEviction(t *testing.T) {
-	ks := newKeyedShards[int](1, 4)
+	ks := newKeyedShards[string, int](1, 4)
 	for i := 0; i < 10; i++ {
 		ks.write(fmt.Sprintf("k%d", i), func() int { return i }, nil)
 	}
@@ -360,5 +360,48 @@ func TestStoreEviction(t *testing.T) {
 	}
 	if !ks.read("k9", nil) {
 		t.Error("newest key evicted")
+	}
+}
+
+// TestStoreEvictionAfterRecreate: a key dropped and written again is the
+// newest key, so the next eviction takes the oldest live key instead.
+func TestStoreEvictionAfterRecreate(t *testing.T) {
+	ks := newKeyedShards[string, int](1, 2)
+	for _, key := range []string{"a", "b"} {
+		ks.write(key, func() int { return 0 }, nil)
+	}
+	ks.remove("a")
+	ks.write("a", func() int { return 0 }, nil)
+	ks.write("c", func() int { return 0 }, nil)
+	if !ks.read("a", nil) {
+		t.Error("re-created key a evicted ahead of older key b")
+	}
+	if ks.read("b", nil) {
+		t.Error("oldest live key b survived eviction")
+	}
+	if got := ks.evicted.Load(); got != 1 {
+		t.Errorf("evicted = %d, want 1", got)
+	}
+}
+
+// TestStoreOrderBounded: the FIFO order holds no entry per created key when
+// eviction is off, and stays within twice the cap when keys are dropped
+// before the cap is reached.
+func TestStoreOrderBounded(t *testing.T) {
+	for _, tc := range []struct {
+		cap, maxOrder int
+	}{{-1, 0}, {4, 8}} {
+		ks := newKeyedShards[int64, int](1, tc.cap)
+		for i := int64(0); i < 1000; i++ {
+			ks.write(i, func() int { return 0 }, nil)
+			ks.remove(i)
+		}
+		if got := ks.keys(); got != 0 {
+			t.Errorf("cap %d: live keys = %d, want 0", tc.cap, got)
+		}
+		if got := len(ks.shards[0].order); got > tc.maxOrder {
+			t.Errorf("cap %d: order holds %d entries after 1000 create/drop rounds, want <= %d",
+				tc.cap, got, tc.maxOrder)
+		}
 	}
 }

@@ -18,51 +18,69 @@ var storeSeed = maphash.MakeSeed()
 // unreachable, so collections must keep dying for windows to keep closing
 // and new instances to adopt switched variants.
 //
+// K is the request key: the set and range stores key by name, the kv store
+// by integer bucket, so a kv request formats no bucket string.
+//
 // Locking contract: collection variants (and their monitor wrappers) are not
 // goroutine-safe for mutation, so mutating ops run under the shard's write
 // lock and read-only ops under its read lock (monitor profile counters are
 // atomic, so concurrent readers are safe).
-type keyedShards[C any] struct {
+type keyedShards[K comparable, C any] struct {
 	max     int // per-shard key cap; <=0 disables eviction
 	evicted atomic.Int64
 	created atomic.Int64
-	shards  []keyedShard[C]
+	shards  []keyedShard[K, C]
 }
 
-type keyedShard[C any] struct {
-	mu    sync.RWMutex
-	m     map[string]C
-	order []string // insertion order; may contain keys already removed
+type keyedShard[K comparable, C any] struct {
+	mu sync.RWMutex
+	m  map[K]entry[C]
+	// order lists keys in creation order, each with the sequence number it
+	// was created under. An entry whose number no longer matches its key's
+	// live entry is stale: the key was dropped, and perhaps re-created. It
+	// stays empty when eviction is off.
+	order []orderEntry[K]
+	seq   uint64
 }
 
-func newKeyedShards[C any](shards, maxPerShard int) *keyedShards[C] {
+type entry[C any] struct {
+	c   C
+	seq uint64
+}
+
+type orderEntry[K comparable] struct {
+	key K
+	seq uint64
+}
+
+func newKeyedShards[K comparable, C any](shards, maxPerShard int) *keyedShards[K, C] {
 	if shards < 1 {
 		shards = 1
 	}
-	k := &keyedShards[C]{max: maxPerShard, shards: make([]keyedShard[C], shards)}
+	k := &keyedShards[K, C]{max: maxPerShard, shards: make([]keyedShard[K, C], shards)}
 	for i := range k.shards {
-		k.shards[i].m = make(map[string]C)
+		k.shards[i].m = make(map[K]entry[C])
 	}
 	return k
 }
 
-func (k *keyedShards[C]) shard(key string) *keyedShard[C] {
+func (k *keyedShards[K, C]) shard(key K) *keyedShard[K, C] {
 	if len(k.shards) == 1 {
 		return &k.shards[0]
 	}
-	h := maphash.String(storeSeed, key)
+	h := maphash.Comparable(storeSeed, key)
 	return &k.shards[h%uint64(len(k.shards))]
 }
 
 // read runs fn on the collection under key while holding the shard read
 // lock; fn must not mutate. It reports whether the key existed.
-func (k *keyedShards[C]) read(key string, fn func(C)) bool {
+func (k *keyedShards[K, C]) read(key K, fn func(C)) bool {
 	sh := k.shard(key)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	c, ok := sh.m[key]
+	e, ok := sh.m[key]
 	if ok && fn != nil {
-		fn(c)
+		fn(e.c)
 	}
 	return ok
 }
@@ -70,34 +88,62 @@ func (k *keyedShards[C]) read(key string, fn func(C)) bool {
 // write runs fn on the collection under key while holding the shard write
 // lock, creating the collection via create when the key is new (and evicting
 // the shard's oldest keys past the cap).
-func (k *keyedShards[C]) write(key string, create func() C, fn func(C)) {
+func (k *keyedShards[K, C]) write(key K, create func() C, fn func(C)) {
 	sh := k.shard(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	c, ok := sh.m[key]
+	e, ok := sh.m[key]
 	if !ok {
-		c = create()
-		sh.m[key] = c
-		sh.order = append(sh.order, key)
+		sh.seq++
+		e = entry[C]{c: create(), seq: sh.seq}
+		sh.m[key] = e
 		k.created.Add(1)
-		for k.max > 0 && len(sh.m) > k.max && len(sh.order) > 0 {
-			victim := sh.order[0]
-			sh.order = sh.order[1:]
-			if _, live := sh.m[victim]; live {
-				delete(sh.m, victim)
-				k.evicted.Add(1)
-			}
+		if k.max > 0 {
+			sh.order = append(sh.order, orderEntry[K]{key, e.seq})
+			k.evicted.Add(sh.evict(k.max))
 		}
 	}
 	if fn != nil {
-		fn(c)
+		fn(e.c)
 	}
+}
+
+// evict drops the shard's oldest live keys until at most limit remain and
+// returns how many it dropped. Dropped keys leave stale order entries
+// behind; at most limit entries are live, so once order is longer than
+// twice the cap, over half of it is stale and it is compacted.
+func (sh *keyedShard[K, C]) evict(limit int) (n int64) {
+	for len(sh.m) > limit && len(sh.order) > 0 {
+		v := sh.order[0]
+		sh.order = sh.order[1:]
+		if sh.live(v) {
+			delete(sh.m, v.key)
+			n++
+		}
+	}
+	if len(sh.order) > 2*limit {
+		kept := sh.order[:0]
+		for _, v := range sh.order {
+			if sh.live(v) {
+				kept = append(kept, v)
+			}
+		}
+		clear(sh.order[len(kept):])
+		sh.order = kept
+	}
+	return n
+}
+
+// live reports whether order entry v still names its key's live entry.
+func (sh *keyedShard[K, C]) live(v orderEntry[K]) bool {
+	e, ok := sh.m[v.key]
+	return ok && e.seq == v.seq
 }
 
 // remove drops the whole key, reporting whether it existed. The dropped
 // collection becomes unreachable — exactly the churn the monitoring windows
 // feed on.
-func (k *keyedShards[C]) remove(key string) bool {
+func (k *keyedShards[K, C]) remove(key K) bool {
 	sh := k.shard(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -109,7 +155,7 @@ func (k *keyedShards[C]) remove(key string) bool {
 }
 
 // keys returns the current number of live keys across all shards.
-func (k *keyedShards[C]) keys() int {
+func (k *keyedShards[K, C]) keys() int {
 	n := 0
 	for i := range k.shards {
 		sh := &k.shards[i]

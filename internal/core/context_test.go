@@ -407,7 +407,7 @@ func TestUnknownDefaultVariantPanics(t *testing.T) {
 
 func TestMonitoredWrapperCountsOps(t *testing.T) {
 	p := newProfile()
-	m := wrapList(collections.NewArrayList[int](), p)
+	m, _ := wrapList(collections.NewArrayList[int](), p)
 	m.Add(1)
 	m.Add(2)
 	m.Insert(1, 3) // middle insert: add + middle
@@ -437,7 +437,7 @@ func TestMonitoredWrapperCountsOps(t *testing.T) {
 
 func TestMonitoredSetAndMapCounts(t *testing.T) {
 	ps := newProfile()
-	s := wrapSet(collections.NewHashSet[int](), ps)
+	s, _ := wrapSet(collections.NewHashSet[int](), ps)
 	s.Add(1)
 	s.Add(1) // duplicate still counts as an add call
 	s.Contains(1)
@@ -452,7 +452,7 @@ func TestMonitoredSetAndMapCounts(t *testing.T) {
 	}
 
 	pm := newProfile()
-	m := wrapMap(collections.NewHashMap[int, int](), pm)
+	m, _ := wrapMap(collections.NewHashMap[int, int](), pm)
 	m.Put(1, 1)
 	m.Put(2, 2)
 	m.Get(1)

@@ -21,11 +21,9 @@ import (
 // high-water marks combine into exactly the global maximum
 // (TestProfileShardsSumExactly).
 //
-// On a GOMAXPROCS=1 process the profile collapses to a single stripe, the
-// wrap path builds the plain (non-striped) monitor form, and the record
-// path is byte-for-byte the historical one: one uncontended atomic add per
-// counter, no per-operation selection of any kind (see monitor.go for why
-// even a predicted branch would not be free there).
+// On a GOMAXPROCS=1 process the profile collapses to a single stripe: the
+// selection mask is zero and every operation lands on stripe 0 through the
+// same monitor code.
 
 // cacheLineBytes is the coherence granularity the stripes are padded to.
 const cacheLineBytes = 64
@@ -85,13 +83,11 @@ func profileShardCount() int {
 	return c
 }
 
-// base returns the first stripe — the fixed counting target of the plain
-// monitor form and the base address striped monitors offset from.
+// base returns the first stripe, the address stripeOf offsets from.
 func (p *profile) base() *pshard { return &p.shards[0] }
 
-// maskBytes returns the stripe-selection mask in bytes, (stripes-1)*64.
-// Zero exactly when the profile has a single stripe, which is what makes it
-// double as the plain-vs-striped monitor discriminator (context.go).
+// maskBytes returns the stripe-selection mask in bytes, (stripes-1)*64;
+// zero for a single-stripe profile, which stripeOf maps to stripe 0.
 func (p *profile) maskBytes() uintptr {
 	return uintptr(len(p.shards)-1) * cacheLineBytes
 }

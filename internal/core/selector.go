@@ -69,27 +69,6 @@ func (a *costAgg) setConfidence(z float64) {
 	}
 }
 
-// missingCurve reports the first (op, dimension) cell a candidate lacks a
-// model curve for, over exactly the cells fold will evaluate: every critical
-// op per dimension, except footprint which is charged through the populate
-// curve only.
-func missingCurve(models *perfmodel.Models, v collections.VariantID, dims []perfmodel.Dimension) (perfmodel.Op, perfmodel.Dimension, bool) {
-	for _, dim := range dims {
-		if dim == perfmodel.DimFootprint {
-			if !models.Has(v, perfmodel.OpPopulate, dim) {
-				return perfmodel.OpPopulate, dim, true
-			}
-			continue
-		}
-		for _, op := range perfmodel.Ops() {
-			if !models.Has(v, op, dim) {
-				return op, dim, true
-			}
-		}
-	}
-	return "", "", false
-}
-
 // fold adds one instance workload to the running totals.
 func (a *costAgg) fold(w Workload) {
 	a.folded++

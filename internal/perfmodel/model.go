@@ -191,6 +191,29 @@ func (m *Models) Has(v collections.VariantID, op Op, dim Dimension) bool {
 	return ok
 }
 
+// MissingCurve reports the first (op, dimension) cell variant v lacks a
+// curve for, over exactly the cells a workload cost evaluates: every
+// critical op per dimension, except footprint, which is charged through the
+// populate curve only. Cells are visited in dims order, then Ops() order,
+// so the reported gap is stable. missing is false when every cell is
+// covered.
+func (m *Models) MissingCurve(v collections.VariantID, dims []Dimension) (op Op, dim Dimension, missing bool) {
+	for _, dim := range dims {
+		if dim == DimFootprint {
+			if !m.Has(v, OpPopulate, dim) {
+				return OpPopulate, dim, true
+			}
+			continue
+		}
+		for _, op := range Ops() {
+			if !m.Has(v, op, dim) {
+				return op, dim, true
+			}
+		}
+	}
+	return "", "", false
+}
+
 // Cost evaluates cost_{op,V}(size) on dimension dim. Negative evaluations
 // (possible near the origin of a least-squares cubic) are clamped to zero.
 // Querying a missing curve panics: the engine must never silently compare a

@@ -270,3 +270,61 @@ func TestBuilderQuickPlanLists(t *testing.T) {
 		t.Errorf("measured ArrayList contains does not grow: %g -> %g", small, large)
 	}
 }
+
+// TestMissingCurveCells pins the coverage rule the online selector and the
+// offline search share: footprint is charged through the populate curve
+// only, every other dimension needs all four op curves, and the first gap
+// is reported in dims order, then Ops() order.
+func TestMissingCurveCells(t *testing.T) {
+	const v = collections.ArrayListID
+	p := polyfit.Poly{Coeffs: []float64{1}}
+	type cell struct {
+		op  Op
+		dim Dimension
+	}
+	all := func(dim Dimension) []cell {
+		var cs []cell
+		for _, op := range Ops() {
+			cs = append(cs, cell{op, dim})
+		}
+		return cs
+	}
+	cases := []struct {
+		name    string
+		curves  []cell
+		dims    []Dimension
+		wantOp  Op
+		wantDim Dimension
+		missing bool
+	}{
+		{name: "no dimensions", dims: nil},
+		{name: "footprint through populate only",
+			curves: []cell{{OpPopulate, DimFootprint}}, dims: []Dimension{DimFootprint}},
+		{name: "footprint ignores the other op curves",
+			curves: []cell{{OpContains, DimFootprint}, {OpIterate, DimFootprint}, {OpMiddle, DimFootprint}},
+			dims:   []Dimension{DimFootprint}, wantOp: OpPopulate, wantDim: DimFootprint, missing: true},
+		{name: "time needs every op", curves: all(DimTimeNS), dims: []Dimension{DimTimeNS}},
+		{name: "time reports the missing op",
+			curves: all(DimTimeNS)[:3], dims: []Dimension{DimTimeNS},
+			wantOp: OpMiddle, wantDim: DimTimeNS, missing: true},
+		{name: "populate on time does not cover footprint",
+			curves: all(DimTimeNS), dims: []Dimension{DimTimeNS, DimFootprint},
+			wantOp: OpPopulate, wantDim: DimFootprint, missing: true},
+		{name: "first gap in dims order",
+			dims:   []Dimension{DimAllocB, DimTimeNS},
+			wantOp: OpPopulate, wantDim: DimAllocB, missing: true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			m := NewModels()
+			for _, c := range tc.curves {
+				m.Set(v, c.op, c.dim, p)
+			}
+			op, dim, missing := m.MissingCurve(v, tc.dims)
+			if op != tc.wantOp || dim != tc.wantDim || missing != tc.missing {
+				t.Errorf("MissingCurve = (%q, %q, %v), want (%q, %q, %v)",
+					op, dim, missing, tc.wantOp, tc.wantDim, tc.missing)
+			}
+		})
+	}
+}

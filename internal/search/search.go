@@ -347,7 +347,7 @@ func buildMatrix(p Problem, dims []perfmodel.Dimension) (matrix, error) {
 		}
 		hasBaseline := false
 		for _, v := range s.Candidates {
-			if !covered(p.Models, v, dims) {
+			if _, _, missing := p.Models.MissingCurve(v, dims); missing {
 				if v == s.Baseline {
 					return m, fmt.Errorf("search: site %s: models lack curves for baseline %s", s.Name, v)
 				}
@@ -364,26 +364,6 @@ func buildMatrix(p Problem, dims []perfmodel.Dimension) (matrix, error) {
 		}
 	}
 	return m, nil
-}
-
-// covered reports whether models can evaluate v on every cell the cost fold
-// touches (footprint through the populate curve only, like the online
-// selector).
-func covered(models *perfmodel.Models, v collections.VariantID, dims []perfmodel.Dimension) bool {
-	for _, dim := range dims {
-		if dim == perfmodel.DimFootprint {
-			if !models.Has(v, perfmodel.OpPopulate, dim) {
-				return false
-			}
-			continue
-		}
-		for _, op := range perfmodel.Ops() {
-			if !models.Has(v, op, dim) {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // siteCost evaluates one (site, candidate) pair on every objective

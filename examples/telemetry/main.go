@@ -9,8 +9,9 @@
 //   - a JSONL sink exporting every framework event to a trace file, which
 //     the program re-reads and decodes afterwards (the -trace machinery of
 //     cmd/experiments, in miniature);
-//   - a ring buffer keeping the most recent events in memory, the shape an
-//     always-on service would expose from a debug endpoint;
+//   - a flight recorder keeping the most recent events in memory, each
+//     stamped with its emission time, the shape an always-on service
+//     exposes from a debug endpoint (the /events view below);
 //   - a shared metrics registry, rendered as a Prometheus-text summary and
 //     published through expvar;
 //   - the live introspection server of internal/diag, served on a loopback
@@ -61,7 +62,7 @@ func main() {
 		}
 	}
 
-	// Observability wiring: JSONL trace file + in-memory ring + metrics.
+	// Observability wiring: JSONL trace file + flight recorder + metrics.
 	tracePath := filepath.Join(os.TempDir(), "telemetry-trace.jsonl")
 	f, err := os.Create(tracePath)
 	if err != nil {
@@ -69,7 +70,6 @@ func main() {
 		os.Exit(1)
 	}
 	jsonl := obs.NewJSONLSink(f)
-	ring := obs.NewRingSink(8)
 	recorder := obs.NewFlightRecorder(32) // feeds the diag /events endpoint
 	metrics := obs.NewRegistry()
 	metrics.PublishExpvar("collectionswitch") // curl /debug/vars in a real service
@@ -85,7 +85,7 @@ func main() {
 		// Figure 7 overhead argument.
 		AnalysisSpans: true,
 		Name:          "telemetry",
-		Sink:          obs.Multi(jsonl, ring, recorder),
+		Sink:          obs.Multi(jsonl, recorder),
 		Metrics:       metrics,
 	})
 	server := diag.New(metrics, recorder)
@@ -160,11 +160,16 @@ func main() {
 			spans, spanNs/int64(spans))
 	}
 
-	// 2. The ring buffer holds the most recent events — what a debug
-	// endpoint would show without retaining the full history.
-	fmt.Printf("\nring buffer: last %d of %d events\n", ring.Len(), ring.Total())
-	for _, ev := range ring.Events() {
-		fmt.Printf("  [%s] %s\n", ev.EventKind(), obs.Line(ev))
+	// 2. The flight recorder holds the most recent events with their
+	// emission times — a timeline of the engine's last moments, without
+	// retaining the full history.
+	snap := recorder.Snapshot()
+	if len(snap) > 8 {
+		snap = snap[len(snap)-8:]
+	}
+	fmt.Printf("\nflight recorder: last %d of %d events\n", len(snap), recorder.Total())
+	for _, te := range snap {
+		fmt.Printf("  %s [%s] %s\n", te.When.Format("15:04:05.000000"), te.Event.EventKind(), obs.Line(te.Event))
 	}
 
 	// 3. The metrics registry summarizes the run; the monitored fraction is

@@ -102,9 +102,11 @@ type Config struct {
 	Name string
 	// Sink, when non-nil, receives the structured framework events of
 	// package obs — the typed successor of the paper's "detailed log
-	// system for tracing framework events" (Section 4.4). Events are
-	// emitted on the analysis goroutine; keep sinks fast. With a nil
-	// Sink the event paths are skipped entirely and add no allocations.
+	// system for tracing framework events" (Section 4.4). Each event
+	// reaches the sink through one Emit call when it happens, on the
+	// analysis goroutine or, with AnalysisParallelism above 1, on
+	// concurrent analysis workers; keep sinks fast. With a nil Sink the
+	// event paths are skipped entirely and add no allocations.
 	Sink obs.Sink
 	// Metrics receives the engine's counters and histograms. Nil gets a
 	// private registry; pass a shared one to aggregate across engines.
@@ -112,7 +114,7 @@ type Config struct {
 	// Logf, when non-nil, receives framework trace events in legacy
 	// printf form; it is adapted onto the event stream via obs.LogfSink
 	// and renders the historical lines byte-identically. The callback
-	// runs on the analysis goroutine; keep it fast.
+	// runs on analysis goroutines, one call at a time; keep it fast.
 	Logf func(format string, args ...any)
 }
 
@@ -248,14 +250,6 @@ type Engine struct {
 	// for any in-flight pass before returning.
 	analysisMu sync.Mutex
 
-	// batch is the active analysis pass's event batch (nil outside passes).
-	// Events produced inside a pass accumulate here and reach the sink in
-	// one batched delivery when the pass ends — one sink call per pass, not
-	// per event — preserving emission order exactly. Events produced outside
-	// passes (registration, close, model swaps, clamps) go straight to the
-	// sink as before.
-	batch atomic.Pointer[obs.Batch]
-
 	background bool // whether loop() was started
 	stop       chan struct{}
 	done       chan struct{}
@@ -388,14 +382,8 @@ func (e *Engine) AnalyzeNow() {
 	copy(ctxs, e.contexts)
 	round := e.rounds
 	e.mu.Unlock()
-	// All events of this pass accumulate in one batch, delivered to the
-	// sink in a single call after RoundCompleted (analysisMu is held
-	// throughout, so exactly one batch is ever active).
-	var batch *obs.Batch
 	if e.sink != nil {
-		batch = obs.NewBatch(e.sink)
-		e.batch.Store(batch)
-		e.emit(obs.RoundStarted{Engine: e.cfg.Name, Round: round, Contexts: len(ctxs)})
+		e.sink.Emit(obs.RoundStarted{Engine: e.cfg.Name, Round: round, Contexts: len(ctxs)})
 	}
 	start := time.Now()
 	// The analysis pass runs under a pprof label so CPU profiles attribute
@@ -417,28 +405,13 @@ func (e *Engine) AnalyzeNow() {
 		for i, c := range ctxs {
 			stats[i] = c.windowStats()
 		}
-		e.emit(obs.RoundCompleted{
+		e.sink.Emit(obs.RoundCompleted{
 			Engine:     e.cfg.Name,
 			Round:      round,
 			DurationNs: elapsed.Nanoseconds(),
 			Contexts:   stats,
 		})
 	}
-	if batch != nil {
-		e.batch.Store(nil)
-		batch.Flush()
-	}
-}
-
-// emit routes an event into the active analysis pass's batch, or straight to
-// the sink outside a pass. Callers guard with e.sink != nil (the nil-sink
-// event paths must stay allocation-free).
-func (e *Engine) emit(ev obs.Event) {
-	if b := e.batch.Load(); b != nil {
-		b.Emit(ev)
-		return
-	}
-	e.sink.Emit(ev)
 }
 
 // analyzeAll runs one analysis pass over ctxs, sequentially below two
@@ -482,7 +455,7 @@ func (e *Engine) analyzeOne(c analyzable, round int) {
 	}
 	start := time.Now()
 	c.analyze()
-	e.emit(obs.ContextAnalyzed{
+	e.sink.Emit(obs.ContextAnalyzed{
 		Engine:     e.cfg.Name,
 		Round:      round,
 		Context:    c.contextName(),
@@ -565,7 +538,7 @@ func (e *Engine) logTransition(t Transition) {
 		for d, v := range t.Ratios {
 			ratios[string(d)] = v
 		}
-		e.emit(obs.Transition{
+		e.sink.Emit(obs.Transition{
 			Engine:  e.cfg.Name,
 			Context: t.Context,
 			From:    string(t.From),
@@ -638,7 +611,7 @@ func (e *Engine) closeWindow(wc windowClose) (collections.VariantID, *DecisionRe
 			// switch to.
 			e.metrics.SwitchesSuppressedCI.Add(1)
 			if e.sink != nil {
-				e.emit(obs.SwitchSuppressed{
+				e.sink.Emit(obs.SwitchSuppressed{
 					Engine:  e.cfg.Name,
 					Context: wc.name,
 					From:    string(wc.current),
@@ -690,7 +663,7 @@ func (e *Engine) closeWindow(wc windowClose) (collections.VariantID, *DecisionRe
 		e.metrics.CooldownsEntered.Add(1)
 	}
 	if e.sink != nil {
-		e.emit(obs.WindowClosed{
+		e.sink.Emit(obs.WindowClosed{
 			Engine:        e.cfg.Name,
 			Context:       wc.name,
 			Round:         wc.round + 1,
@@ -701,7 +674,7 @@ func (e *Engine) closeWindow(wc windowClose) (collections.VariantID, *DecisionRe
 			SizeSpread:    wc.agg.sizeSpread(),
 		})
 		if wc.cooldown > 0 {
-			e.emit(obs.CooldownEntered{
+			e.sink.Emit(obs.CooldownEntered{
 				Engine:   e.cfg.Name,
 				Context:  wc.name,
 				Round:    wc.round + 1,

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -325,5 +327,117 @@ func TestMetricsRegistryRaceClean(t *testing.T) {
 	wg.Wait()
 	if got := reg.TransitionCounts()[obs.TransitionKey{Context: "race", From: "a", To: "b"}]; got != 800 {
 		t.Errorf("race transition count = %d, want 800", got)
+	}
+}
+
+// TestFlightRecorderTimelineSpansEachPass pins that pass events reach the
+// sink when they happen: RoundStarted is stamped before the pass runs and
+// RoundCompleted after it, so the recorder's timeline spans at least the
+// pass duration the engine itself measured.
+func TestFlightRecorderTimelineSpansEachPass(t *testing.T) {
+	rec := obs.NewFlightRecorder(256)
+	e := NewEngineManual(Config{WindowSize: 10, Rule: Rtime(), Name: "timeline", Sink: rec})
+	defer e.Close()
+	ctxs := []*ListContext[int]{
+		NewListContext[int](e, WithName("timeline:a")),
+		NewListContext[int](e, WithName("timeline:b")),
+		NewListContext[int](e, WithName("timeline:c")),
+	}
+	const passes = 3
+	for p := 0; p < passes; p++ {
+		for _, ctx := range ctxs {
+			churnLists(ctx, 10, 100, 100)
+		}
+		e.AnalyzeNow()
+	}
+
+	started := map[int]time.Time{}
+	completed := 0
+	for _, te := range rec.Snapshot() {
+		switch ev := te.Event.(type) {
+		case obs.RoundStarted:
+			started[ev.Round] = te.When
+		case obs.RoundCompleted:
+			completed++
+			begin, ok := started[ev.Round]
+			if !ok {
+				t.Fatalf("round %d completed without a recorded start", ev.Round)
+			}
+			if span := te.When.Sub(begin); span < time.Duration(ev.DurationNs) {
+				t.Errorf("round %d: recorder span %v shorter than pass duration %v",
+					ev.Round, span, time.Duration(ev.DurationNs))
+			}
+		}
+	}
+	if completed != passes {
+		t.Fatalf("recorded %d RoundCompleted events, want %d", completed, passes)
+	}
+}
+
+// TestParallelAnalysisDeliversEveryEvent drives analysis workers that call
+// the sink concurrently and checks that every sink of a Multi saw the same
+// events: the collector's per-kind counts, the registry's events_total
+// counters, the flight recorder's total and the Logf line count all agree,
+// and every closed window produced exactly one WindowClosed event. The Logf
+// callback appends without a lock: the race detector flags it unless the
+// adapter serializes calls.
+func TestParallelAnalysisDeliversEveryEvent(t *testing.T) {
+	reg := obs.NewRegistry()
+	rec := obs.NewFlightRecorder(16) // small, so eviction runs concurrently too
+	col := obs.NewCollector()
+	var lines []string
+	e := NewEngineManual(Config{
+		WindowSize:          10,
+		Rule:                Rtime(),
+		AnalysisParallelism: 4,
+		AnalysisSpans:       true,
+		Name:                "parallel",
+		Sink:                obs.Multi(rec, col, obs.CountingSink(reg)),
+		Metrics:             reg,
+		Logf: func(format string, args ...any) {
+			lines = append(lines, fmt.Sprintf(format, args...))
+		},
+	})
+	ctxs := make([]*ListContext[int], 8)
+	for i := range ctxs {
+		ctxs[i] = NewListContext[int](e, WithName(fmt.Sprintf("parallel:%d", i)))
+	}
+	for p := 0; p < 4; p++ {
+		for i, ctx := range ctxs {
+			// Alternate lookup-heavy and insert-only sites so some
+			// contexts transition and others stay put.
+			for n := 0; n < 10; n++ {
+				l := ctx.NewList()
+				for j := 0; j < 50; j++ {
+					l.Add(j)
+				}
+				for j := 0; i%2 == 0 && j < 200; j++ {
+					l.Contains(j % 51)
+				}
+			}
+		}
+		runtime.GC()
+		e.AnalyzeNow()
+	}
+	e.Close()
+
+	byKind := map[obs.Kind]int64{}
+	for _, ev := range col.Events() {
+		byKind[ev.EventKind()]++
+	}
+	if got := reg.EventCounts(); !reflect.DeepEqual(got, byKind) {
+		t.Errorf("registry events_total = %v, collector saw %v", got, byKind)
+	}
+	if got, want := rec.Total(), int64(len(col.Events())); got != want {
+		t.Errorf("flight recorder total = %d, collector saw %d", got, want)
+	}
+	if got, want := len(lines), len(col.Events()); got != want {
+		t.Errorf("Logf lines = %d, collector saw %d", got, want)
+	}
+	if got, want := byKind[obs.KindWindowClosed], reg.WindowsClosed.Load(); got != want || want == 0 {
+		t.Errorf("WindowClosed events = %d, WindowsClosed counter = %d (want equal, nonzero)", got, want)
+	}
+	if got := byKind[obs.KindContextAnalyzed]; got != 4*int64(len(ctxs)) {
+		t.Errorf("ContextAnalyzed events = %d, want %d", got, 4*len(ctxs))
 	}
 }

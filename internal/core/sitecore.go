@@ -208,7 +208,7 @@ func (c *siteCore[C, M]) buildAgg() *costAgg {
 			c.missingWarned[v] = true
 			c.e.metrics.ModelGaps.Add(1)
 			if c.e.sink != nil {
-				c.e.emit(obs.ModelMissing{
+				c.e.sink.Emit(obs.ModelMissing{
 					Engine:    c.e.cfg.Name,
 					Context:   c.name,
 					Variant:   string(v),
@@ -411,7 +411,7 @@ func (c *siteCore[C, M]) analyze() {
 			c.warm = false
 			c.e.metrics.DriftReopens.Add(1)
 			if c.e.sink != nil {
-				c.e.emit(obs.CalibrationDrift{
+				c.e.sink.Emit(obs.CalibrationDrift{
 					Engine:    c.e.cfg.Name,
 					Context:   c.name,
 					Drift:     drift,

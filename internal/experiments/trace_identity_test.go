@@ -30,9 +30,10 @@ func normalizeTrace(raw []byte) [][]byte {
 // TestTable6TraceMatchesSeedFixture is the refactor's non-negotiable
 // invariant in executable form: the Table 5/6 sweep at analysis parallelism
 // 1 must produce a JSONL trace byte-identical — modulo timestamps — to the
-// fixture captured before the sharded-profile/epoch-window/batched-emission
-// refactor. Any change to what is monitored, folded, decided or emitted
-// shows up as a diverging line. The fixture was generated with
+// fixture captured before the sharded-profile/epoch-window refactor, with
+// every event delivered through its own Sink.Emit call. Any change to what
+// is monitored, folded, decided or emitted shows up as a diverging line.
+// The fixture was generated with
 //
 //	go run ./cmd/experiments -exp table6 -quick -parallel 1 -trace <fixture>
 //

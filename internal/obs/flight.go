@@ -16,9 +16,8 @@ type TimedEvent struct {
 
 // FlightRecorder is the always-on crash/debug sink of the introspection
 // layer: a fixed-capacity ring of the most recent events, each stamped with
-// its emission time. Unlike RingSink (events only, test-oriented) the
-// recorder's snapshot carries timestamps, so the /events endpoint and the
-// SIGQUIT stderr dump can reconstruct a timeline of the engine's last
+// its emission time. The snapshot's timestamps let the /events endpoint and
+// the SIGQUIT stderr dump reconstruct a timeline of the engine's last
 // moments. Emit is cheap (one lock, no allocation beyond the entry slot) and
 // safe for concurrent use.
 type FlightRecorder struct {
@@ -52,25 +51,6 @@ func (r *FlightRecorder) Emit(e Event) {
 	}
 	r.buf[r.start] = TimedEvent{When: now, Event: e}
 	r.start = (r.start + 1) % len(r.buf)
-}
-
-// EmitBatch appends the events in slice order under one lock acquisition,
-// all stamped with the delivery time (a batch is delivered at the end of
-// the analysis pass that produced it).
-func (r *FlightRecorder) EmitBatch(events []Event) {
-	now := time.Now()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, e := range events {
-		r.total++
-		if r.n < len(r.buf) {
-			r.buf[(r.start+r.n)%len(r.buf)] = TimedEvent{When: now, Event: e}
-			r.n++
-			continue
-		}
-		r.buf[r.start] = TimedEvent{When: now, Event: e}
-		r.start = (r.start + 1) % len(r.buf)
-	}
 }
 
 // Snapshot returns the retained events, oldest first.

@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 )
@@ -58,35 +60,6 @@ func (s *JSONLSink) Emit(e Event) {
 	s.err = s.w.WriteByte('\n')
 }
 
-// EmitBatch serializes the events as consecutive JSONL lines under a single
-// lock acquisition, in slice order — a batched trace differs from a per-event
-// one only in timestamps. Each line still carries its own write-time stamp,
-// preserving the envelope schema exactly.
-func (s *JSONLSink) EmitBatch(events []Event) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, e := range events {
-		if s.err != nil {
-			return
-		}
-		payload, err := json.Marshal(e)
-		if err != nil {
-			s.err = err
-			return
-		}
-		line, err := json.Marshal(envelope{Kind: e.EventKind(), Time: time.Now().UnixNano(), Ev: payload})
-		if err != nil {
-			s.err = err
-			return
-		}
-		if _, err := s.w.Write(line); err != nil {
-			s.err = err
-			return
-		}
-		s.err = s.w.WriteByte('\n')
-	}
-}
-
 // Flush drains the buffer and returns the first error seen so far.
 func (s *JSONLSink) Flush() error {
 	s.mu.Lock()
@@ -127,11 +100,21 @@ func Decode(line []byte) (Event, time.Time, error) {
 }
 
 // dec is the generic payload decoder one kindDecoders entry instantiates
-// per concrete event type.
+// per concrete event type. An empty slice or map in an omitempty field
+// decodes as nil: the wire form cannot tell the two apart, so a decoded
+// event equals the one its own re-encoding decodes to.
 func dec[E Event](raw json.RawMessage) (Event, error) {
 	var e E
 	if err := json.Unmarshal(raw, &e); err != nil {
 		return nil, err
+	}
+	v := reflect.ValueOf(&e).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Field(i)
+		if (f.Kind() == reflect.Slice || f.Kind() == reflect.Map) && f.Len() == 0 &&
+			strings.Contains(v.Type().Field(i).Tag.Get("json"), ",omitempty") {
+			f.SetZero()
+		}
 	}
 	return e, nil
 }

@@ -89,8 +89,10 @@ type Event interface {
 	Logline() (format string, args []any)
 }
 
-// Sink receives events. Emit may be called from the analysis goroutine and
-// must be safe for concurrent use; implementations should return quickly.
+// Sink receives events. Emit is the only delivery path: it is called once
+// per event, from analysis goroutines (parallel analysis workers call it
+// concurrently), and must be safe for concurrent use; implementations
+// should return quickly.
 type Sink interface {
 	Emit(Event)
 }

@@ -118,26 +118,6 @@ func TestDecodeRejectsUnknownKind(t *testing.T) {
 	}
 }
 
-func TestRingSinkEviction(t *testing.T) {
-	r := NewRingSink(3)
-	for i := 0; i < 5; i++ {
-		r.Emit(RoundStarted{Round: i})
-	}
-	if r.Len() != 3 {
-		t.Fatalf("len = %d, want 3", r.Len())
-	}
-	if r.Total() != 5 {
-		t.Fatalf("total = %d, want 5", r.Total())
-	}
-	got := r.Events()
-	for i, e := range got {
-		want := i + 2 // rounds 2, 3, 4 survive
-		if e.(RoundStarted).Round != want {
-			t.Errorf("events[%d].Round = %d, want %d", i, e.(RoundStarted).Round, want)
-		}
-	}
-}
-
 func TestCollectorKeepsEverything(t *testing.T) {
 	c := NewCollector()
 	for i := 0; i < 100; i++ {
@@ -171,6 +151,37 @@ func TestMultiCollapses(t *testing.T) {
 	c := NewCollector()
 	if got := Multi(nil, c); got != Sink(c) {
 		t.Error("single-sink Multi should collapse to the sink itself")
+	}
+}
+
+// TestMultiFlushDrainsBufferingChildren pins that FlushSink reaches a
+// buffering child through a multiplexer: events emitted into Multi sit in
+// the JSONL buffer until the flush, then decode in emission order.
+func TestMultiFlushDrainsBufferingChildren(t *testing.T) {
+	var buf bytes.Buffer
+	jsonl := NewJSONLSink(&buf)
+	col := NewCollector()
+	m := Multi(jsonl, col)
+	events := allEvents()
+	for _, e := range events {
+		m.Emit(e)
+	}
+	if buf.Len() != 0 {
+		t.Fatal("JSONL buffer drained before flush — expected buffering")
+	}
+	if err := FlushSink(m); err != nil {
+		t.Fatalf("FlushSink(multi): %v", err)
+	}
+	got, err := ReadAll(&buf)
+	if err != nil {
+		t.Fatalf("ReadAll: %v", err)
+	}
+	if !reflect.DeepEqual(got, events) {
+		t.Errorf("JSONL via Multi:\n got %v\nwant %v", got, events)
+	}
+	// FlushSink on a non-buffering sink is a no-op, not an error.
+	if err := FlushSink(col); err != nil {
+		t.Errorf("FlushSink(collector) = %v, want nil", err)
 	}
 }
 

@@ -2,84 +2,9 @@ package obs
 
 import "sync"
 
-// RingSink keeps the most recent events in a fixed-capacity ring buffer —
-// the in-memory sink for tests and for "last N events" debugging views.
-type RingSink struct {
-	mu    sync.Mutex
-	buf   []Event
-	start int
-	n     int
-	total int64
-}
-
-// NewRingSink returns a ring buffer holding at most capacity events
-// (minimum 1). Older events are evicted as newer ones arrive.
-func NewRingSink(capacity int) *RingSink {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &RingSink{buf: make([]Event, capacity)}
-}
-
-// Emit appends the event, evicting the oldest when full.
-func (s *RingSink) Emit(e Event) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.total++
-	if s.n < len(s.buf) {
-		s.buf[(s.start+s.n)%len(s.buf)] = e
-		s.n++
-		return
-	}
-	s.buf[s.start] = e
-	s.start = (s.start + 1) % len(s.buf)
-}
-
-// EmitBatch appends the events in slice order under one lock acquisition,
-// evicting oldest entries as needed.
-func (s *RingSink) EmitBatch(events []Event) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, e := range events {
-		s.total++
-		if s.n < len(s.buf) {
-			s.buf[(s.start+s.n)%len(s.buf)] = e
-			s.n++
-			continue
-		}
-		s.buf[s.start] = e
-		s.start = (s.start + 1) % len(s.buf)
-	}
-}
-
-// Events returns the retained events, oldest first.
-func (s *RingSink) Events() []Event {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]Event, s.n)
-	for i := 0; i < s.n; i++ {
-		out[i] = s.buf[(s.start+i)%len(s.buf)]
-	}
-	return out
-}
-
-// Len returns the number of retained events.
-func (s *RingSink) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.n
-}
-
-// Total returns the number of events ever emitted, including evicted ones.
-func (s *RingSink) Total() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.total
-}
-
-// Collector retains every emitted event — the unbounded sibling of RingSink,
-// used where the full stream must be replayed (e.g. rebuilding the Table 6
-// aggregation from Transition events).
+// Collector retains every emitted event — the unbounded sibling of
+// FlightRecorder, used where the full stream must be replayed (e.g.
+// rebuilding the Table 6 aggregation from Transition events).
 type Collector struct {
 	mu     sync.Mutex
 	events []Event
@@ -95,13 +20,6 @@ func (s *Collector) Emit(e Event) {
 	s.mu.Unlock()
 }
 
-// EmitBatch appends the events in slice order under one lock acquisition.
-func (s *Collector) EmitBatch(events []Event) {
-	s.mu.Lock()
-	s.events = append(s.events, events...)
-	s.mu.Unlock()
-}
-
 // Events returns a copy of every event in emission order.
 func (s *Collector) Events() []Event {
 	s.mu.Lock()
@@ -109,6 +27,22 @@ func (s *Collector) Events() []Event {
 	out := make([]Event, len(s.events))
 	copy(out, s.events)
 	return out
+}
+
+// Flusher is the optional sink extension for explicit draining: sinks that
+// buffer (JSONLSink) or fan out to buffering children (Multi) expose it so
+// an engine Close can force the tail of the event stream out.
+type Flusher interface {
+	Flush() error
+}
+
+// FlushSink flushes the sink if it (or, for a multiplexer, any of its
+// children) supports Flusher; unknown sinks are a no-op.
+func FlushSink(s Sink) error {
+	if f, ok := s.(Flusher); ok {
+		return f.Flush()
+	}
+	return nil
 }
 
 // multiSink fans every event out to several sinks in fixed order.
@@ -119,14 +53,6 @@ type multiSink struct {
 func (m multiSink) Emit(e Event) {
 	for _, s := range m.sinks {
 		s.Emit(e)
-	}
-}
-
-// EmitBatch forwards the whole batch to each child in order, so children
-// that support batched delivery keep their one-lock-per-pass property.
-func (m multiSink) EmitBatch(events []Event) {
-	for _, s := range m.sinks {
-		EmitAll(s, events)
 	}
 }
 
@@ -167,13 +93,6 @@ type countingSink struct{ reg *Registry }
 
 func (s countingSink) Emit(e Event) { s.reg.IncEvent(e.EventKind()) }
 
-// EmitBatch counts each event of the batch.
-func (s countingSink) EmitBatch(events []Event) {
-	for _, e := range events {
-		s.reg.IncEvent(e.EventKind())
-	}
-}
-
 // CountingSink returns a sink that counts events by kind into the
 // registry's events_total counters — the /metrics view of event traffic.
 // Fan it out next to the real sinks with Multi. Nil registries yield a nil
@@ -188,8 +107,10 @@ func CountingSink(r *Registry) Sink {
 // LogfSink adapts a printf-style callback to the event stream: every event
 // is rendered through its Logline formatting. The events that existed in the
 // legacy Config.Logf hook produce byte-identical lines, so pre-existing log
-// scrapers keep working.
+// scrapers keep working. Calls to the callback are serialized, so a
+// callback that is not safe for concurrent use still makes a valid Sink.
 type LogfSink struct {
+	mu sync.Mutex
 	fn func(format string, args ...any)
 }
 
@@ -204,16 +125,7 @@ func (s *LogfSink) Emit(e Event) {
 		return
 	}
 	format, args := e.Logline()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.fn(format, args...)
-}
-
-// EmitBatch formats each event of the batch in order.
-func (s *LogfSink) EmitBatch(events []Event) {
-	if s.fn == nil {
-		return
-	}
-	for _, e := range events {
-		format, args := e.Logline()
-		s.fn(format, args...)
-	}
 }

@@ -19,6 +19,7 @@ import (
 	"os"
 	"time"
 
+	"repro/internal/apps"
 	"repro/internal/diag"
 	"repro/internal/experiments"
 	"repro/internal/obs"
@@ -65,7 +66,7 @@ func main() {
 	// JSONL (the Table 6 rows are exactly reconstructible from that file
 	// via experiments.Table6FromEvents / obs.ReadAll). A -models file
 	// replaces the analytic defaults on every experiment engine.
-	o := experiments.Obs{Metrics: obs.NewRegistry(), Parallelism: *parallel, Confidence: *confidence}
+	o := apps.Obs{Metrics: obs.NewRegistry(), Parallelism: *parallel, Confidence: *confidence}
 
 	// Live introspection (-http): every experiment engine attaches to one
 	// diag server, a flight recorder captures the most recent framework

@@ -194,8 +194,8 @@ func (e *Env) Checkpoint() {
 	}
 }
 
-// Obs threads the observability layer through an application run: Label
-// names the run's engine in emitted events (the experiments use
+// Obs is the one wiring struct of the experiment engines (see NewEngine):
+// Label names the run's engine in emitted events (the experiments use
 // "app/mode/rule"), Sink receives every engine event, and Metrics
 // aggregates counters across runs. The zero value disables all three.
 type Obs struct {
@@ -233,6 +233,27 @@ func Run(app App, mode Mode, rule core.Rule, seed int64) Result {
 	return RunObs(app, mode, rule, seed, Obs{})
 }
 
+// NewEngine builds one run's manual engine from base — the caller's window,
+// rule and own sink — plus o's wiring: Label names the engine, Sink joins
+// base.Sink, and Models, Parallelism, Confidence, Metrics and WarmStart pass
+// through to the core.Config fields they document. EngineHook observes the
+// engine before it is returned; delivering Snapshots is the caller's job,
+// since only the caller knows when its run is complete.
+func (o Obs) NewEngine(base core.Config) *core.Engine {
+	base.Name = o.Label
+	base.Models = o.Models
+	base.AnalysisParallelism = o.Parallelism
+	base.ConfidenceLevel = o.Confidence
+	base.Metrics = o.Metrics
+	base.WarmStart = o.WarmStart
+	base.Sink = obs.Multi(base.Sink, o.Sink)
+	e := core.NewEngineManual(base)
+	if o.EngineHook != nil {
+		o.EngineHook(e)
+	}
+	return e
+}
+
 // RunObs is Run with observability wiring. In FullAdap mode the engine's
 // structured event stream is always collected — Result.Transitions is
 // rebuilt from the Transition events rather than read out of engine
@@ -243,22 +264,8 @@ func RunObs(app App, mode Mode, rule core.Rule, seed int64, o Obs) Result {
 	var col *obs.Collector
 	if mode == ModeFullAdap {
 		col = obs.NewCollector()
-		engine = core.NewEngineManual(core.Config{
-			WindowSize:          100,
-			FinishedRatio:       0.6,
-			Rule:                rule,
-			Models:              o.Models,
-			AnalysisParallelism: o.Parallelism,
-			ConfidenceLevel:     o.Confidence,
-			Name:                o.Label,
-			Sink:                obs.Multi(col, o.Sink),
-			Metrics:             o.Metrics,
-			WarmStart:           o.WarmStart,
-		})
+		engine = o.NewEngine(core.Config{WindowSize: 100, FinishedRatio: 0.6, Rule: rule, Sink: col})
 		defer engine.Close()
-		if o.EngineHook != nil {
-			o.EngineHook(engine)
-		}
 	}
 	env := NewEnv(mode, engine, seed)
 	start := time.Now()

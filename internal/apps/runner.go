@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/obs"
-	"repro/internal/perfmodel"
 	"repro/internal/stats"
 )
 
@@ -58,33 +56,10 @@ type RunConfig struct {
 	Warmup, Measured int
 	// Seed drives the deterministic workloads.
 	Seed int64
-	// Sink, when non-nil, receives the engine events of every measured
-	// run (warm-up runs are not traced, so an exported trace reconstructs
-	// exactly what the printed tables aggregated). Engines are labeled
-	// "app/mode/rule".
-	Sink obs.Sink
-	// Metrics, when non-nil, aggregates engine counters across the
-	// measured runs.
-	Metrics *obs.Registry
-	// Parallelism bounds each run engine's analysis worker pool
-	// (Config.AnalysisParallelism). 0 uses the engine default (GOMAXPROCS);
-	// 1 reproduces the historical sequential event ordering.
-	Parallelism int
-	// Confidence arms confidence-aware switching on every run engine
-	// (Config.ConfidenceLevel; 0 = point-estimate switching).
-	Confidence float64
-	// Models overrides the cost models of every run engine (nil = the
-	// analytic defaults).
-	Models *perfmodel.Models
-	// WarmStart supplies persisted site decisions to every measured run's
-	// engine (nil = cold starts). Snapshots, when non-nil, receives each
-	// measured run's per-site state — together they let cmd/experiments
-	// demonstrate cold vs warm behavior against a tuner.Store.
-	WarmStart core.WarmStarter
-	Snapshots func([]core.SiteSnapshot)
-	// EngineHook observes every measured run's engine right after
-	// construction (see apps.Obs.EngineHook).
-	EngineHook func(*core.Engine)
+	// Obs wires every measured run's engine (warm-up runs are not traced,
+	// so an exported trace reconstructs exactly what the printed tables
+	// aggregated). Its Label is replaced per cell by "app/mode/rule".
+	Obs Obs
 }
 
 // DefaultRunConfig returns the paper's run counts at full scale.
@@ -104,17 +79,8 @@ func measureCell(app App, mode Mode, rule core.Rule, cfg RunConfig) Cell {
 	for i := 0; i < cfg.Warmup; i++ {
 		Run(app, mode, rule, cfg.Seed)
 	}
-	o := Obs{
-		Label:       fmt.Sprintf("%s/%s/%s", app.Name(), mode, rule.Name),
-		Sink:        cfg.Sink,
-		Metrics:     cfg.Metrics,
-		Parallelism: cfg.Parallelism,
-		Confidence:  cfg.Confidence,
-		Models:      cfg.Models,
-		WarmStart:   cfg.WarmStart,
-		Snapshots:   cfg.Snapshots,
-		EngineHook:  cfg.EngineHook,
-	}
+	o := cfg.Obs
+	o.Label = fmt.Sprintf("%s/%s/%s", app.Name(), mode, rule.Name)
 	for i := 0; i < cfg.Measured; i++ {
 		res := RunObs(app, mode, rule, cfg.Seed, o)
 		cell.TimesSec = append(cell.TimesSec, res.Elapsed.Seconds())

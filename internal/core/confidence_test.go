@@ -205,7 +205,7 @@ func TestUnarmedAggregateStaysLegacy(t *testing.T) {
 		[]perfmodel.Dimension{perfmodel.DimTimeNS})
 	agg.setConfidence(0)
 	agg.fold(Workload{Adds: 10, Contains: 100, MaxSize: 10})
-	if agg.lo != nil || agg.hi != nil || agg.z != 0 {
+	if agg.se != nil || agg.z != 0 {
 		t.Fatal("setConfidence(0) armed the aggregate")
 	}
 	_, ests, _, _ := decideExplain(agg, "test/a", Rtime(), 4, 50, true)
@@ -246,5 +246,63 @@ func TestConfidenceLevelClamped(t *testing.T) {
 	e3 := NewEngineManual(Config{ConfidenceLevel: 0.95, Name: "z"})
 	if z := e3.confZ; math.Abs(z-1.959964) > 1e-4 {
 		t.Errorf("confZ(0.95) = %g, want ~1.96", z)
+	}
+}
+
+// Armed estimates derive their interval from the accumulated totals: lower
+// bound max(0, TC−z·SE) clamped once on the sum, upper bound TC+z·SE, with
+// SE the correlated sum Σ count·se. On "test/a" only the contains term's own
+// lower bound would go negative (10 − 1.96·8); clamping it per op would
+// narrow the interval to [99.04, 359.76] instead of [42.24, 359.76].
+func TestArmedBoundsDeriveFromTotals(t *testing.T) {
+	m := perfmodel.NewModels()
+	set := func(id collections.VariantID, op perfmodel.Op, cost, se float64) {
+		m.SetWithVar(id, op, perfmodel.DimTimeNS,
+			polyfit.Poly{Coeffs: []float64{cost}}, polyfit.Poly{Coeffs: []float64{se * se}})
+	}
+	for _, id := range []collections.VariantID{"test/a", "test/b"} {
+		set(id, perfmodel.OpPopulate, 1, 0)
+		set(id, perfmodel.OpMiddle, 1, 0)
+	}
+	set("test/a", perfmodel.OpContains, 10, 8)
+	set("test/a", perfmodel.OpIterate, 100, 1)
+	set("test/b", perfmodel.OpContains, 2, 30)
+	set("test/b", perfmodel.OpIterate, 50, 1)
+	const z = 1.96
+	agg := newCostAggDims(m, []collections.VariantID{"test/a", "test/b"},
+		[]perfmodel.Dimension{perfmodel.DimTimeNS})
+	agg.setConfidence(z)
+	// One population of size 10, ten probes, one iteration.
+	agg.fold(Workload{Adds: 10, Contains: 10, Iterates: 1, MaxSize: 10})
+
+	want := map[collections.VariantID]struct{ tc, se float64 }{
+		"test/a": {1 + 10*10 + 100, 10*8 + 1},
+		"test/b": {1 + 10*2 + 50, 10*30 + 1},
+	}
+	_, ests, _, _ := decideExplain(agg, "test/a", Rtime(), 4, 50, true)
+	bounds := map[collections.VariantID][2]float64{}
+	for _, est := range ests {
+		w := want[est.Variant]
+		lo, hi := math.Max(0, w.tc-z*w.se), w.tc+z*w.se
+		dim := perfmodel.DimTimeNS
+		if got := est.Costs[dim]; math.Abs(got-w.tc) > 1e-9 {
+			t.Errorf("%s: TC = %g, want %g", est.Variant, got, w.tc)
+		}
+		if got := est.CostsLo[dim]; math.Abs(got-lo) > 1e-9 {
+			t.Errorf("%s: CostsLo = %g, want max(0, TC−z·SE) = %g", est.Variant, got, lo)
+		}
+		if got := est.CostsHi[dim]; math.Abs(got-hi) > 1e-9 {
+			t.Errorf("%s: CostsHi = %g, want TC+z·SE = %g", est.Variant, got, hi)
+		}
+		bounds[est.Variant] = [2]float64{lo, hi}
+	}
+	for _, est := range ests {
+		if est.Variant != "test/b" {
+			continue
+		}
+		wantRatio := bounds["test/b"][1] / bounds["test/a"][0]
+		if got := est.RatiosHi[perfmodel.DimTimeNS]; math.Abs(got-wantRatio) > 1e-9*wantRatio {
+			t.Errorf("upper ratio = %g, want hi(b)/lo(a) = %g", got, wantRatio)
+		}
 	}
 }

@@ -336,11 +336,17 @@ func TestBackgroundEngineAnalyzes(t *testing.T) {
 	defer e.Close()
 	ctx := NewListContext[int](e, WithName("bg:list"))
 	churnLists(ctx, 10, 500, 500)
+	// A background pass probes each record's weak pointer, and a probe
+	// during a GC's mark phase keeps that monitor alive through the cycle.
+	// churnLists collects once; if that cycle overlaps a pass, nothing is
+	// reclaimed and an idle test would never collect again. Keep collecting,
+	// as a running program's allocations would, until the window closes.
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
 		if ctx.CurrentVariant() == collections.HashArrayListID {
 			return
 		}
+		runtime.GC()
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatalf("background engine never switched; variant = %s", ctx.CurrentVariant())

@@ -12,7 +12,7 @@
 //
 //	TC_D(V) = Σ_instances Σ_op N_op · cost_{op,V}(s_max)
 //
-// using the performance models of package perfmodel. When a configurable
+// priced by perfmodel.Models.WorkloadCost. When a configurable
 // selection rule (Table 4) finds a variant whose estimated costs beat the
 // current one's, the context switches the variant used for future
 // instantiations and starts a new monitoring round.

@@ -70,7 +70,7 @@ type CandidateEstimate struct {
 	Eligible bool                            `json:"eligible"`
 	Reason   string                          `json:"reason,omitempty"`
 	// CostsLo/CostsHi bound Costs at the engine's configured confidence
-	// level, and RatiosHi is the conservative upper ratio (candidate upper
+	// level as max(0, TC−z·SE) and TC+z·SE, and RatiosHi is the conservative upper ratio (candidate upper
 	// bound over the current variant's lower bound) the confidence gate
 	// compares against the thresholds. All absent when ConfidenceLevel is
 	// unset.

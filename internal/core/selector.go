@@ -23,11 +23,11 @@ type costAgg struct {
 	// size spread of folded workloads, for adaptive gating.
 	minSize, maxSize int64
 	// Confidence gating (Config.ConfidenceLevel): z is the normal-quantile
-	// multiplier of the configured level and lo/hi mirror tc with the
-	// accumulated interval bounds. Both stay zero/nil — and fold performs no
+	// multiplier of the configured level and se mirrors tc with the
+	// accumulated standard errors. Both stay zero/nil — and fold performs no
 	// interval work at all — until setConfidence arms them.
-	z      float64
-	lo, hi [][]float64
+	z  float64
+	se [][]float64
 }
 
 func newCostAgg(models *perfmodel.Models, candidates []collections.VariantID) *costAgg {
@@ -39,17 +39,21 @@ func newCostAgg(models *perfmodel.Models, candidates []collections.VariantID) *c
 // rule never reads would waste fold work and would demand model curves the
 // decision cannot use.
 func newCostAggDims(models *perfmodel.Models, candidates []collections.VariantID, dims []perfmodel.Dimension) *costAgg {
-	a := &costAgg{
+	return &costAgg{
 		models:     models,
 		candidates: candidates,
 		dims:       dims,
-		tc:         make([][]float64, len(candidates)),
+		tc:         newMatrix(len(candidates), len(dims)),
 		minSize:    math.MaxInt64,
 	}
-	for i := range a.tc {
-		a.tc[i] = make([]float64, len(a.dims))
+}
+
+func newMatrix(rows, cols int) [][]float64 {
+	m := make([][]float64, rows)
+	for i := range m {
+		m[i] = make([]float64, cols)
 	}
-	return a
+	return m
 }
 
 // setConfidence arms the aggregate's interval accumulation: z is the normal
@@ -61,15 +65,12 @@ func (a *costAgg) setConfidence(z float64) {
 		return
 	}
 	a.z = z
-	a.lo = make([][]float64, len(a.candidates))
-	a.hi = make([][]float64, len(a.candidates))
-	for i := range a.candidates {
-		a.lo[i] = make([]float64, len(a.dims))
-		a.hi[i] = make([]float64, len(a.dims))
-	}
+	a.se = newMatrix(len(a.candidates), len(a.dims))
 }
 
-// fold adds one instance workload to the running totals.
+// fold adds one instance workload to the running totals, priced by the
+// perfmodel cost kernel at the instance's maximum size. One instance is
+// retained once, so the footprint dimension charges it with Instances 1.
 func (a *costAgg) fold(w Workload) {
 	a.folded++
 	if w.MaxSize < a.minSize {
@@ -82,50 +83,48 @@ func (a *costAgg) fold(w Workload) {
 	if s < 1 {
 		s = 1
 	}
-	// Populate is modeled per complete population to size s, so the raw
-	// add count converts to "number of populations".
-	popN := float64(w.Adds) / s
+	u := perfmodel.Usage{
+		Instances: 1,
+		Populate:  float64(w.Adds) / s,
+		Contains:  float64(w.Contains),
+		Iterate:   float64(w.Iterates),
+		Middle:    float64(w.Middles),
+	}
 	for ci, v := range a.candidates {
 		for di, dim := range a.dims {
-			if dim == perfmodel.DimFootprint {
-				// Footprint is a retained-state dimension: charged
-				// once per instance at its maximum size.
-				a.tc[ci][di] += a.models.Cost(v, perfmodel.OpPopulate, dim, s)
-				if a.z > 0 {
-					l, h := a.models.CostCI(v, perfmodel.OpPopulate, dim, s, a.z)
-					a.lo[ci][di] += l
-					a.hi[ci][di] += h
-				}
+			if a.z <= 0 {
+				a.tc[ci][di] += a.models.WorkloadCost(v, dim, u, s)
 				continue
 			}
-			c := popN * a.models.Cost(v, perfmodel.OpPopulate, dim, s)
-			c += float64(w.Contains) * a.models.Cost(v, perfmodel.OpContains, dim, s)
-			c += float64(w.Iterates) * a.models.Cost(v, perfmodel.OpIterate, dim, s)
-			c += float64(w.Middles) * a.models.Cost(v, perfmodel.OpMiddle, dim, s)
+			c, e, _ := a.models.WorkloadCostSE(v, dim, u, s)
 			a.tc[ci][di] += c
-			if a.z > 0 {
-				// Interval bounds accumulate with the same multipliers as
-				// the point costs. Summing lower bounds with lower bounds
-				// (and upper with upper) treats the per-op model errors as
-				// perfectly correlated — a conservative widening that can
-				// only suppress switches, never force one.
-				lp, hp := a.models.CostCI(v, perfmodel.OpPopulate, dim, s, a.z)
-				lc, hc := a.models.CostCI(v, perfmodel.OpContains, dim, s, a.z)
-				li, hit := a.models.CostCI(v, perfmodel.OpIterate, dim, s, a.z)
-				lm, hm := a.models.CostCI(v, perfmodel.OpMiddle, dim, s, a.z)
-				a.lo[ci][di] += popN*lp + float64(w.Contains)*lc + float64(w.Iterates)*li + float64(w.Middles)*lm
-				a.hi[ci][di] += popN*hp + float64(w.Contains)*hc + float64(w.Iterates)*hit + float64(w.Middles)*hm
-			}
+			a.se[ci][di] += e
 		}
 	}
 }
 
-// total returns TC_D(V) for candidate index ci.
-func (a *costAgg) total(ci int, dim perfmodel.Dimension) float64 {
+// dimIndex returns the aggregate's column for dim, -1 when not aggregated.
+func (a *costAgg) dimIndex(dim perfmodel.Dimension) int {
 	for di, d := range a.dims {
 		if d == dim {
-			return a.tc[ci][di]
+			return di
 		}
+	}
+	return -1
+}
+
+// bounds returns candidate ci's cost interval on column di, derived from
+// the accumulated totals as max(0, TC−z·SE) and TC+z·SE. Only meaningful
+// on armed aggregates (setConfidence).
+func (a *costAgg) bounds(ci, di int) (lo, hi float64) {
+	tc, w := a.tc[ci][di], a.z*a.se[ci][di]
+	return max(0, tc-w), tc + w
+}
+
+// total returns TC_D(V) for candidate index ci.
+func (a *costAgg) total(ci int, dim perfmodel.Dimension) float64 {
+	if di := a.dimIndex(dim); di >= 0 {
+		return a.tc[ci][di]
 	}
 	return 0
 }
@@ -301,22 +300,16 @@ func (a *costAgg) ratio(ci, curIdx int, dim perfmodel.Dimension) float64 {
 }
 
 // ratioCI returns the conservative upper bound on TC_D(ci)/TC_D(curIdx):
-// the candidate's accumulated upper bound over the current variant's lower
-// bound, with the decide conventions for zero denominators. Only meaningful
-// on armed aggregates (setConfidence).
+// the candidate's upper bound over the current variant's lower bound (see
+// bounds), with the decide conventions for zero denominators. Only
+// meaningful on armed aggregates (setConfidence).
 func (a *costAgg) ratioCI(ci, curIdx int, dim perfmodel.Dimension) float64 {
-	di := -1
-	for j, d := range a.dims {
-		if d == dim {
-			di = j
-			break
-		}
-	}
+	di := a.dimIndex(dim)
 	if di < 0 {
 		return math.Inf(1)
 	}
-	hiNew := a.hi[ci][di]
-	loCur := a.lo[curIdx][di]
+	_, hiNew := a.bounds(ci, di)
+	loCur, _ := a.bounds(curIdx, di)
 	switch {
 	case loCur > 0:
 		return hiNew / loCur
@@ -344,8 +337,7 @@ func (a *costAgg) estimate(ci, curIdx int, rule Rule, eligible bool, reason stri
 		est.CostsLo = make(map[perfmodel.Dimension]float64, len(a.dims))
 		est.CostsHi = make(map[perfmodel.Dimension]float64, len(a.dims))
 		for di, dim := range a.dims {
-			est.CostsLo[dim] = a.lo[ci][di]
-			est.CostsHi[dim] = a.hi[ci][di]
+			est.CostsLo[dim], est.CostsHi[dim] = a.bounds(ci, di)
 		}
 	}
 	if ci != curIdx {

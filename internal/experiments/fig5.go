@@ -5,6 +5,7 @@ import (
 	"io"
 	"runtime"
 
+	"repro/internal/apps"
 	"repro/internal/collections"
 	"repro/internal/core"
 	"repro/internal/workload"
@@ -39,22 +40,9 @@ type Fig5Panel struct {
 }
 
 // newFig5Engine builds the manual engine used for one single-phase run.
-func newFig5Engine(rule core.Rule, name string, o Obs) *core.Engine {
-	e := core.NewEngineManual(core.Config{
-		WindowSize:          100,
-		FinishedRatio:       0.6,
-		Rule:                rule,
-		Models:              o.Models,
-		AnalysisParallelism: o.Parallelism,
-		ConfidenceLevel:     o.Confidence,
-		Name:                name,
-		Sink:                o.Sink,
-		Metrics:             o.Metrics,
-	})
-	if o.EngineHook != nil {
-		o.EngineHook(e)
-	}
-	return e
+func newFig5Engine(rule core.Rule, name string, o apps.Obs) *core.Engine {
+	o.Label = name
+	return o.NewEngine(core.Config{WindowSize: 100, FinishedRatio: 0.6, Rule: rule})
 }
 
 // hook ticks the engine the way the background analyzer and the JVM GC
@@ -68,11 +56,13 @@ func engineHook(e *core.Engine) func() {
 
 // RunFig5 measures all five panels at the given scale.
 func RunFig5(sc Scale) []Fig5Panel {
-	return RunFig5Obs(sc, Obs{})
+	return RunFig5Obs(sc, apps.Obs{})
 }
 
 // RunFig5Obs is RunFig5 with observability wiring on every engine.
-func RunFig5Obs(sc Scale, o Obs) []Fig5Panel {
+func RunFig5Obs(sc Scale, o apps.Obs) []Fig5Panel {
+	// The sweep plots selection from the default variant: no warm start.
+	o.WarmStart, o.Snapshots = nil, nil
 	panels := []Fig5Panel{
 		{Name: "5a: Lists, Rtime, time vs ArrayList", Rule: "Rtime", Baseline: collections.ArrayListID},
 		{Name: "5b: Sets, Rtime, time vs HashSet", Rule: "Rtime", Baseline: collections.HashSetID},
@@ -99,7 +89,7 @@ func RunFig5Obs(sc Scale, o Obs) []Fig5Panel {
 	return panels
 }
 
-func fig5List(rule core.Rule, size, instances, lookups, every int, o Obs) Fig5Point {
+func fig5List(rule core.Rule, size, instances, lookups, every int, o apps.Obs) Fig5Point {
 	e := newFig5Engine(rule, fmt.Sprintf("fig5a@%d", size), o)
 	defer e.Close()
 	ctx := core.NewListContext[int](e, core.WithName(fmt.Sprintf("fig5a@%d", size)))
@@ -120,7 +110,7 @@ func fig5List(rule core.Rule, size, instances, lookups, every int, o Obs) Fig5Po
 	return p
 }
 
-func fig5Set(rule core.Rule, size, instances, lookups, every int, o Obs) Fig5Point {
+func fig5Set(rule core.Rule, size, instances, lookups, every int, o apps.Obs) Fig5Point {
 	e := newFig5Engine(rule, fmt.Sprintf("fig5set@%d", size), o)
 	defer e.Close()
 	ctx := core.NewSetContext[int](e, core.WithName(fmt.Sprintf("fig5set@%d", size)))
@@ -141,7 +131,7 @@ func fig5Set(rule core.Rule, size, instances, lookups, every int, o Obs) Fig5Poi
 	return p
 }
 
-func fig5Map(rule core.Rule, size, instances, lookups, every int, o Obs) Fig5Point {
+func fig5Map(rule core.Rule, size, instances, lookups, every int, o apps.Obs) Fig5Point {
 	e := newFig5Engine(rule, fmt.Sprintf("fig5map@%d", size), o)
 	defer e.Close()
 	ctx := core.NewMapContext[int, int](e, core.WithName(fmt.Sprintf("fig5map@%d", size)))

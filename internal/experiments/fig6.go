@@ -5,6 +5,7 @@ import (
 	"io"
 	"runtime"
 
+	"repro/internal/apps"
 	"repro/internal/collections"
 	"repro/internal/core"
 	"repro/internal/workload"
@@ -38,26 +39,16 @@ type Fig6Result struct {
 
 // RunFig6 measures the multi-phase scenario.
 func RunFig6(sc Scale) Fig6Result {
-	return RunFig6Obs(sc, Obs{})
+	return RunFig6Obs(sc, apps.Obs{})
 }
 
 // RunFig6Obs is RunFig6 with observability wiring on the engine.
-func RunFig6Obs(sc Scale, o Obs) Fig6Result {
-	e := core.NewEngineManual(core.Config{
-		WindowSize:          100,
-		FinishedRatio:       0.6,
-		Rule:                core.Rtime(),
-		Models:              o.Models,
-		AnalysisParallelism: o.Parallelism,
-		ConfidenceLevel:     o.Confidence,
-		Name:                "fig6",
-		Sink:                o.Sink,
-		Metrics:             o.Metrics,
-	})
+func RunFig6Obs(sc Scale, o apps.Obs) Fig6Result {
+	// The series plots selection from the default variant: no warm start.
+	o.WarmStart, o.Snapshots = nil, nil
+	o.Label = "fig6"
+	e := o.NewEngine(core.Config{WindowSize: 100, FinishedRatio: 0.6, Rule: core.Rtime()})
 	defer e.Close()
-	if o.EngineHook != nil {
-		o.EngineHook(e)
-	}
 	ctx := core.NewListContext[int](e, core.WithName("fig6"))
 	hook := engineHook(e)
 

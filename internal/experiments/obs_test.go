@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/apps"
 	"repro/internal/obs"
 )
 
@@ -23,7 +24,7 @@ func TestTable6ReconstructibleFromTrace(t *testing.T) {
 
 	var trace bytes.Buffer
 	sink := obs.NewJSONLSink(&trace)
-	rows := RunTable5Obs(sc, Obs{Sink: sink, Metrics: obs.NewRegistry()})
+	rows := RunTable5Obs(sc, apps.Obs{Sink: sink, Metrics: obs.NewRegistry()})
 	if err := sink.Flush(); err != nil {
 		t.Fatalf("flush: %v", err)
 	}

@@ -10,39 +10,8 @@ import (
 	"repro/internal/collections"
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/perfmodel"
 	"repro/internal/stats"
 )
-
-// Obs bundles the optional observability wiring of cmd/experiments: Sink
-// receives the engine events of measured runs (the -trace flag), Metrics
-// aggregates counters and the analysis-latency histogram across experiments
-// (the -metrics flag), and Parallelism bounds every experiment engine's
-// analysis worker pool (the -parallel flag; 0 = engine default GOMAXPROCS,
-// 1 = the historical sequential ordering). The zero value disables the
-// sinks and leaves parallelism at the engine default.
-type Obs struct {
-	Sink        obs.Sink
-	Metrics     *obs.Registry
-	Parallelism int
-	// Confidence is handed to every experiment engine as
-	// Config.ConfidenceLevel (the -confidence flag; 0 = point-estimate
-	// switching, the historical behavior).
-	Confidence float64
-	// Models overrides every experiment engine's cost models (the -models
-	// flag; nil = the analytic defaults).
-	Models *perfmodel.Models
-	// WarmStart supplies persisted site decisions to the engine-driven
-	// experiments (the -store flag; nil = cold starts). Snapshots receives
-	// each measured run's per-site state for persistence.
-	WarmStart core.WarmStarter
-	Snapshots func([]core.SiteSnapshot)
-	// EngineHook, when non-nil, observes every engine the experiments
-	// create, right after construction — the diag introspection server
-	// attaches here (the -http flag) so /sites and /sites/{name}/explain
-	// cover each experiment engine as it comes up.
-	EngineHook func(*core.Engine)
-}
 
 // PrintTable2 renders the collection-variant inventory (paper Table 2).
 func PrintTable2(w io.Writer) {
@@ -73,25 +42,18 @@ func PrintTable4(w io.Writer) {
 
 // RunTable5 measures the DaCapo-substitute applications.
 func RunTable5(sc Scale) []apps.Row {
-	return RunTable5Obs(sc, Obs{})
+	return RunTable5Obs(sc, apps.Obs{})
 }
 
 // RunTable5Obs is RunTable5 with observability wiring threaded into every
 // measured run's engine.
-func RunTable5Obs(sc Scale, o Obs) []apps.Row {
+func RunTable5Obs(sc Scale, o apps.Obs) []apps.Row {
 	cfg := apps.RunConfig{
-		Scale:       sc.AppScale,
-		Warmup:      sc.AppWarmup,
-		Measured:    sc.AppMeasured,
-		Seed:        1,
-		Sink:        o.Sink,
-		Metrics:     o.Metrics,
-		Parallelism: o.Parallelism,
-		Confidence:  o.Confidence,
-		Models:      o.Models,
-		WarmStart:   o.WarmStart,
-		Snapshots:   o.Snapshots,
-		EngineHook:  o.EngineHook,
+		Scale:    sc.AppScale,
+		Warmup:   sc.AppWarmup,
+		Measured: sc.AppMeasured,
+		Seed:     1,
+		Obs:      o,
 	}
 	return apps.MeasureAll(cfg)
 }
@@ -229,12 +191,15 @@ type OverheadRow struct {
 
 // RunOverhead measures the Section 5.3 framework-overhead experiment.
 func RunOverhead(sc Scale) []OverheadRow {
-	return RunOverheadObs(sc, Obs{})
+	return RunOverheadObs(sc, apps.Obs{})
 }
 
 // RunOverheadObs is RunOverhead with observability wiring on the measured
 // FullAdap runs.
-func RunOverheadObs(sc Scale, o Obs) []OverheadRow {
+func RunOverheadObs(sc Scale, o apps.Obs) []OverheadRow {
+	// Overhead runs must keep the original run's variants and must not
+	// overwrite stored decisions with the impossible rule's: no warm start.
+	o.WarmStart, o.Snapshots = nil, nil
 	var out []OverheadRow
 	for _, app := range apps.All(sc.AppScale) {
 		row := OverheadRow{App: app.Name()}
@@ -242,15 +207,8 @@ func RunOverheadObs(sc Scale, o Obs) []OverheadRow {
 			apps.Run(app, apps.ModeOriginal, core.Rtime(), 1)
 			apps.Run(app, apps.ModeFullAdap, core.ImpossibleRule(), 1)
 		}
-		ao := apps.Obs{
-			Label:       fmt.Sprintf("%s/%s/%s", app.Name(), apps.ModeFullAdap, core.ImpossibleRule().Name),
-			Sink:        o.Sink,
-			Metrics:     o.Metrics,
-			Parallelism: o.Parallelism,
-			Confidence:  o.Confidence,
-			Models:      o.Models,
-			EngineHook:  o.EngineHook,
-		}
+		ao := o
+		ao.Label = fmt.Sprintf("%s/%s/%s", app.Name(), apps.ModeFullAdap, core.ImpossibleRule().Name)
 		for i := 0; i < sc.AppMeasured; i++ {
 			orig := apps.Run(app, apps.ModeOriginal, core.Rtime(), 1)
 			dis := apps.RunObs(app, apps.ModeFullAdap, core.ImpossibleRule(), 1, ao)

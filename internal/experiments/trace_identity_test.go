@@ -7,6 +7,7 @@ import (
 	"regexp"
 	"testing"
 
+	"repro/internal/apps"
 	"repro/internal/obs"
 )
 
@@ -50,7 +51,7 @@ func TestTable6TraceMatchesSeedFixture(t *testing.T) {
 
 	var trace bytes.Buffer
 	sink := obs.NewJSONLSink(&trace)
-	RunTable5Obs(QuickScale(), Obs{Sink: sink, Metrics: obs.NewRegistry(), Parallelism: 1})
+	RunTable5Obs(QuickScale(), apps.Obs{Sink: sink, Metrics: obs.NewRegistry(), Parallelism: 1})
 	if err := sink.Flush(); err != nil {
 		t.Fatalf("flushing trace: %v", err)
 	}

@@ -9,7 +9,7 @@ import (
 	"repro/internal/polyfit"
 )
 
-// Curves stored with variance must answer CostSE/CostCI; curves without must
+// Curves stored with variance must answer CostSE; curves without must
 // degrade to exact point estimates.
 func TestCostSEAndCI(t *testing.T) {
 	m := NewModels()
@@ -26,33 +26,11 @@ func TestCostSEAndCI(t *testing.T) {
 	if want := math.Sqrt(4 + 0.01*100); math.Abs(se-want) > 1e-12 {
 		t.Errorf("se = %g, want %g", se, want)
 	}
-	lo, hi := m.CostCI("v", OpContains, DimTimeNS, 10, 2)
-	if math.Abs(lo-(30-2*se)) > 1e-12 || math.Abs(hi-(30+2*se)) > 1e-12 {
-		t.Errorf("CI = [%g, %g], want 30 ± 2·%g", lo, hi, se)
-	}
-
-	// Lower bound clamps at zero like Cost does.
-	m.SetWithVar("v", OpIterate, DimTimeNS,
-		polyfit.Poly{Coeffs: []float64{1}}, polyfit.Poly{Coeffs: []float64{100}})
-	lo, hi = m.CostCI("v", OpIterate, DimTimeNS, 5, 1)
-	if lo != 0 || math.Abs(hi-11) > 1e-12 {
-		t.Errorf("clamped CI = [%g, %g], want [0, 11]", lo, hi)
-	}
 
 	// No variance info: ok=false, zero-width interval.
 	m.Set("v", OpMiddle, DimTimeNS, polyfit.Poly{Coeffs: []float64{7}})
 	if _, se, ok := m.CostSE("v", OpMiddle, DimTimeNS, 3); ok || se != 0 {
 		t.Errorf("plain curve: se=%g ok=%v, want 0/false", se, ok)
-	}
-	lo, hi = m.CostCI("v", OpMiddle, DimTimeNS, 3, 2)
-	if lo != 7 || hi != 7 {
-		t.Errorf("plain curve CI = [%g, %g], want [7, 7]", lo, hi)
-	}
-
-	// z ≤ 0 disables widening even on variance-carrying curves.
-	lo, hi = m.CostCI("v", OpContains, DimTimeNS, 10, 0)
-	if lo != 30 || hi != 30 {
-		t.Errorf("z=0 CI = [%g, %g], want [30, 30]", lo, hi)
 	}
 }
 
@@ -127,10 +105,6 @@ func TestJSONSchemaCompatibility(t *testing.T) {
 	}
 	if _, se, ok := m.CostSE("v", OpContains, DimTimeNS, 8); ok || se != 0 {
 		t.Errorf("legacy curve reported uncertainty: se=%g ok=%v", se, ok)
-	}
-	lo, hi := m.CostCI("v", OpContains, DimTimeNS, 8, 1.96)
-	if lo != 17 || hi != 17 {
-		t.Errorf("legacy curve CI = [%g, %g], want zero-width", lo, hi)
 	}
 
 	future := `{"schema": 3, "curves": []}`

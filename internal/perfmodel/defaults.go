@@ -19,45 +19,25 @@ import (
 // machine-built models are interchangeable everywhere — including for
 // user-registered variants carrying a collections.WithAnalytic model.
 
-// fitAnalytic samples fn at the plan sizes and fits the plan-degree
-// polynomial, panicking on failure (defaults are static data; a failure is
-// a programming error).
-func fitAnalytic(fn collections.CostFn, plan Plan) polyfit.Poly {
-	xs := make([]float64, len(plan.Sizes))
-	ys := make([]float64, len(plan.Sizes))
-	for i, s := range plan.Sizes {
-		xs[i] = float64(s)
-		ys[i] = fn(float64(s))
-	}
-	p, err := polyfit.Fit(xs, ys, plan.Degree)
-	if err != nil {
-		panic(fmt.Sprintf("perfmodel: default fit failed: %v", err))
-	}
-	return p
-}
-
-// fitSubset fits fn over the plan sizes selected by keep, degrading the
-// polynomial degree when too few points remain.
-func fitSubset(fn collections.CostFn, plan Plan, keep func(int) bool) polyfit.Poly {
-	var xs, ys []float64
+// fitAnalytic samples fn at the plan sizes selected by keep and fits the
+// plan-degree polynomial (degraded when too few points remain), panicking
+// on failure: defaults are static data, so a failure is a programming error.
+func fitAnalytic(fn collections.CostFn, plan Plan, keep func(int) bool) polyfit.Poly {
+	samples := polyfit.NewSamples(len(plan.Sizes))
 	for _, s := range plan.Sizes {
 		if keep(s) {
-			xs = append(xs, float64(s))
-			ys = append(ys, fn(float64(s)))
+			samples.Add(float64(s), fn(float64(s)))
 		}
 	}
-	degree := plan.Degree
-	if degree > len(xs)-1 {
-		degree = len(xs) - 1
-	}
+	degree := min(plan.Degree, samples.Len()-1)
 	if degree < 0 {
 		panic("perfmodel: no plan sizes in fit segment")
 	}
-	p, err := polyfit.Fit(xs, ys, degree)
+	r, err := polyfit.FitRidge(samples, degree, 0)
 	if err != nil {
-		panic(fmt.Sprintf("perfmodel: segment fit failed: %v", err))
+		panic(fmt.Sprintf("perfmodel: default fit failed: %v", err))
 	}
-	return p
+	return r.Poly
 }
 
 // setCurves stores fn's fit for one (variant, op, dim): a single fit for
@@ -65,12 +45,12 @@ func fitSubset(fn collections.CostFn, plan Plan, keep func(int) bool) polyfit.Po
 // for adaptive ones.
 func setCurves(m *Models, id collections.VariantID, op Op, dim Dimension, fn collections.CostFn, plan Plan) {
 	if !collections.IsAdaptive(id) {
-		m.Set(id, op, dim, fitAnalytic(fn, plan))
+		m.Set(id, op, dim, fitAnalytic(fn, plan, func(int) bool { return true }))
 		return
 	}
 	thr := float64(collections.AdaptiveThresholdOf(id))
-	below := fitSubset(fn, plan, func(s int) bool { return float64(s) <= thr })
-	above := fitSubset(fn, plan, func(s int) bool { return float64(s) > thr })
+	below := fitAnalytic(fn, plan, func(s int) bool { return float64(s) <= thr })
+	above := fitAnalytic(fn, plan, func(s int) bool { return float64(s) > thr })
 	m.SetPiecewise(id, op, dim, thr, below, above)
 }
 

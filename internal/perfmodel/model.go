@@ -6,8 +6,9 @@
 //
 // A model answers cost_{op,V}(s): the averaged cost of critical operation op
 // on variant V at collection size s, per cost dimension (execution time,
-// bytes allocated, retained footprint). The selection engine combines these
-// into the total-cost estimate TC_D(V) of Section 3.1.1.
+// bytes allocated, retained footprint). WorkloadCost combines these into the
+// total-cost estimate TC_D(V) of Section 3.1.1, the one cost function the
+// selection engine, the offline search and the tuner share.
 package perfmodel
 
 import (
@@ -161,7 +162,7 @@ func (m *Models) Set(v collections.VariantID, op Op, dim Dimension, p polyfit.Po
 
 // SetWithVar stores a single-polynomial cost curve together with its
 // prediction-variance polynomial (StdErr² as a function of size, from
-// polyfit.FitResult.VarPoly), enabling CostSE/CostCI on the curve.
+// polyfit.FitResult.VarPoly), enabling CostSE on the curve.
 func (m *Models) SetWithVar(v collections.VariantID, op Op, dim Dimension, p, variance polyfit.Poly) {
 	m.curves[key{v, op, dim}] = curve{pieces: []piece{{upTo: math.Inf(1), poly: p, vp: variance}}}
 }
@@ -254,23 +255,57 @@ func (m *Models) CostSE(v collections.VariantID, op Op, dim Dimension, size floa
 	return cost, math.Sqrt(variance), true
 }
 
-// CostCI returns the confidence interval Cost ± z·StdErr at the given size,
-// both bounds clamped to ≥ 0 like Cost itself. A segment without variance
-// information yields a zero-width interval at the point estimate, so curves
-// that predate uncertainty tracking never widen a decision.
-func (m *Models) CostCI(v collections.VariantID, op Op, dim Dimension, size, z float64) (lo, hi float64) {
-	cost, se, ok := m.CostSE(v, op, dim, size)
-	if !ok || se == 0 || z <= 0 {
-		return cost, cost
+// Usage is the operation mix of a workload, the input of the total cost
+// TC_D(V) of Section 3.1.1. Populate counts complete populations to the
+// evaluated size (added elements divided by that size); the other counts
+// are calls. Instances scales the footprint dimension only: retained state
+// is charged once per instance.
+type Usage struct {
+	Instances                           float64
+	Populate, Contains, Iterate, Middle float64
+}
+
+// WorkloadCost is the one implementation of TC_D(V): variant v's cost of
+// usage u at collection size size on dimension dim. Operation dimensions
+// charge Σ count·cost_op(size) over the critical operations; footprint is
+// retained state, Instances·cost_populate(size). Like Cost it panics on a
+// missing curve — MissingCurve checks coverage of exactly these cells. The
+// online selector, the offline search and the tuner's shadow planner all
+// price workloads here.
+func (m *Models) WorkloadCost(v collections.VariantID, dim Dimension, u Usage, size float64) float64 {
+	if dim == DimFootprint {
+		return u.Instances * m.Cost(v, OpPopulate, dim, size)
 	}
-	lo, hi = cost-z*se, cost+z*se
-	if lo < 0 {
-		lo = 0
+	c := u.Populate * m.Cost(v, OpPopulate, dim, size)
+	c += u.Contains * m.Cost(v, OpContains, dim, size)
+	c += u.Iterate * m.Cost(v, OpIterate, dim, size)
+	c += u.Middle * m.Cost(v, OpMiddle, dim, size)
+	return c
+}
+
+// WorkloadCostSE is WorkloadCost together with the standard error of the
+// total, accumulated as the perfectly correlated sum Σ count·se: the widest
+// defensible interval, since the per-op model errors of one variant share
+// their benchmark runs. cost is bit-identical to WorkloadCost. ok is false
+// when any evaluated curve carries no variance information; such terms add
+// nothing to se.
+func (m *Models) WorkloadCostSE(v collections.VariantID, dim Dimension, u Usage, size float64) (cost, se float64, ok bool) {
+	if dim == DimFootprint {
+		c, e, ok := m.CostSE(v, OpPopulate, dim, size)
+		return u.Instances * c, u.Instances * e, ok
 	}
-	if hi < 0 {
-		hi = 0
+	c, e, ok := m.CostSE(v, OpPopulate, dim, size)
+	cost, se = u.Populate*c, u.Populate*e
+	for _, t := range [...]struct {
+		op Op
+		n  float64
+	}{{OpContains, u.Contains}, {OpIterate, u.Iterate}, {OpMiddle, u.Middle}} {
+		c, e, tok := m.CostSE(v, t.op, dim, size)
+		cost += t.n * c
+		se += t.n * e
+		ok = ok && tok
 	}
-	return lo, hi
+	return cost, se, ok
 }
 
 // Curve returns the stored polynomial for (variant, op, dim) when it is a

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"repro/internal/collections"
@@ -237,19 +238,34 @@ func TestDefaultPlanMatchesTable3(t *testing.T) {
 	}
 }
 
+// measuredLists benchmarks every list variant over a three-size QuickPlan
+// once per test binary: the build dominates the package's run time, and the
+// tests needing measured models only read them (mutators take a Clone).
+var measuredLists = sync.OnceValues(func() (measuredBuild, error) {
+	plan := QuickPlan()
+	plan.Sizes = []int{10, 50, 200}
+	b := NewBuilder(plan)
+	var out measuredBuild
+	b.Progress = func(collections.VariantID, Op) { out.progressed++ }
+	m, err := b.BuildLists()
+	out.models = m
+	return out, err
+})
+
+type measuredBuild struct {
+	models     *Models
+	progressed int
+}
+
 func TestBuilderQuickPlanLists(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builder benchmarks are slow")
 	}
-	plan := QuickPlan()
-	plan.Sizes = []int{10, 50, 200}
-	b := NewBuilder(plan)
-	var progressed int
-	b.Progress = func(collections.VariantID, Op) { progressed++ }
-	m, err := b.BuildLists()
+	built, err := measuredLists()
 	if err != nil {
 		t.Fatal(err)
 	}
+	m, progressed := built.models, built.progressed
 	for _, v := range collections.ListVariants[int]() {
 		for _, op := range Ops() {
 			if !m.Has(v.ID, op, DimTimeNS) {

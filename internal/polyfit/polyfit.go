@@ -3,9 +3,12 @@
 //
 //	cost_op(s) = Σ_{k=0..d} a_k · s^k
 //
-// Coefficients are found by solving the normal equations of the Vandermonde
-// system with Gaussian elimination (partial pivoting). The paper uses degree
-// three; Fit accepts any degree smaller than the sample count.
+// FitRidge is the one fitting entry point: least squares on a standardized
+// design with an optional ridge penalty λ. At λ = 0 it keeps the raw-basis
+// solution — the normal equations of the Vandermonde system solved by
+// Gaussian elimination with partial pivoting — whenever that solution is
+// numerically sound. The paper uses degree three; any degree smaller than
+// the sample count works.
 package polyfit
 
 import (
@@ -60,9 +63,10 @@ func (p Poly) String() string {
 // polynomial (too few points, mismatched slices, or a singular system).
 var ErrBadFit = errors.New("polyfit: insufficient or degenerate samples")
 
-// Fit computes the least-squares polynomial of the given degree through the
-// samples (xs[i], ys[i]). It requires len(xs) == len(ys) > degree.
-func Fit(xs, ys []float64, degree int) (Poly, error) {
+// fit computes the least-squares polynomial of the given degree through the
+// samples (xs[i], ys[i]) in the raw basis: FitRidge's λ = 0 path. It
+// requires len(xs) == len(ys) > degree.
+func fit(xs, ys []float64, degree int) (Poly, error) {
 	if degree < 0 || len(xs) != len(ys) || len(xs) <= degree {
 		return Poly{}, ErrBadFit
 	}

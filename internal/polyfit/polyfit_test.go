@@ -17,7 +17,7 @@ func TestFitExactLine(t *testing.T) {
 	for i, x := range xs {
 		ys[i] = 2 + 3*x
 	}
-	p, err := Fit(xs, ys, 1)
+	p, err := fit(xs, ys, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestFitExactCubic(t *testing.T) {
 	for i, x := range xs {
 		ys[i] = want[0] + want[1]*x + want[2]*x*x + want[3]*x*x*x
 	}
-	p, err := Fit(xs, ys, 3)
+	p, err := fit(xs, ys, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestFitNoisyQuadraticCloseEnough(t *testing.T) {
 		xs[i] = x
 		ys[i] = 5 + 0.1*x + 0.02*x*x + r.NormFloat64()*0.5
 	}
-	p, err := Fit(xs, ys, 2)
+	p, err := fit(xs, ys, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestFitNoisyQuadraticCloseEnough(t *testing.T) {
 func TestFitDegreeZero(t *testing.T) {
 	xs := []float64{1, 2, 3, 4}
 	ys := []float64{10, 12, 8, 10}
-	p, err := Fit(xs, ys, 0)
+	p, err := fit(xs, ys, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,20 +81,20 @@ func TestFitDegreeZero(t *testing.T) {
 }
 
 func TestFitErrors(t *testing.T) {
-	if _, err := Fit([]float64{1, 2}, []float64{1, 2, 3}, 1); err == nil {
+	if _, err := fit([]float64{1, 2}, []float64{1, 2, 3}, 1); err == nil {
 		t.Error("mismatched lengths accepted")
 	}
-	if _, err := Fit([]float64{1, 2}, []float64{1, 2}, 3); err == nil {
+	if _, err := fit([]float64{1, 2}, []float64{1, 2}, 3); err == nil {
 		t.Error("degree >= sample count accepted")
 	}
-	if _, err := Fit(nil, nil, 1); err == nil {
+	if _, err := fit(nil, nil, 1); err == nil {
 		t.Error("empty samples accepted")
 	}
-	if _, err := Fit([]float64{1, 2, 3}, []float64{1, 2, 3}, -1); err == nil {
+	if _, err := fit([]float64{1, 2, 3}, []float64{1, 2, 3}, -1); err == nil {
 		t.Error("negative degree accepted")
 	}
 	// Singular: all x identical.
-	if _, err := Fit([]float64{5, 5, 5}, []float64{1, 2, 3}, 1); err == nil {
+	if _, err := fit([]float64{5, 5, 5}, []float64{1, 2, 3}, 1); err == nil {
 		t.Error("degenerate x values accepted")
 	}
 }
@@ -162,7 +162,7 @@ func TestFitRoundTripProperty(t *testing.T) {
 		for i, x := range xs {
 			ys[i] = truth.Eval(x)
 		}
-		p, err := Fit(xs, ys, 2)
+		p, err := fit(xs, ys, 2)
 		if err != nil {
 			return false
 		}
@@ -201,7 +201,7 @@ func TestFitIsLeastSquares(t *testing.T) {
 		xs[i] = float64(i + 1)
 		ys[i] = 3 + 0.5*xs[i] + r.NormFloat64()*2
 	}
-	p, err := Fit(xs, ys, 1)
+	p, err := fit(xs, ys, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

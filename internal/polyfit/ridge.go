@@ -7,13 +7,13 @@ import "math"
 // for the regularization strength, and per-prediction standard errors derived
 // from the residual variance and the covariance of the fitted coefficients.
 //
-// Fit solves the raw-basis normal equations, which are numerically fragile:
+// fit solves the raw-basis normal equations, which are numerically fragile:
 // the Vandermonde moment matrix over sizes ≥ 1e5 at degree 3 spans ~36 orders
 // of magnitude. FitRidge instead centers and scales each power column to unit
 // variance, so the Gram matrix has a unit diagonal regardless of the size
 // range, and adds an optional ridge penalty λ that shrinks the standardized
 // slopes toward zero. At λ = 0 on well-conditioned inputs the result is
-// delegated to Fit so existing coefficients are reproduced bit-for-bit.
+// delegated to fit so existing coefficients are reproduced bit-for-bit.
 
 // Samples accumulates (x, y) observations in column-wise float64 storage.
 // Columns keep the fitting pipeline allocation-friendly: callers append
@@ -51,7 +51,7 @@ func (s *Samples) Len() int { return len(s.xs) }
 // FitResult carries a fitted polynomial together with the statistics needed
 // to turn any prediction into a confidence interval.
 type FitResult struct {
-	// Poly is the fitted polynomial in the raw basis (same as Fit's output).
+	// Poly is the fitted polynomial in the raw basis (same as fit's output).
 	Poly Poly
 	// Lambda is the ridge strength used (0 means plain least squares).
 	Lambda float64
@@ -135,11 +135,11 @@ func (r FitResult) VarPoly() Poly {
 // penalty λ·n·I is added to the standardized Gram matrix (whose diagonal is
 // exactly n), so λ is a dimensionless fraction of each column's own energy.
 //
-// At lambda == 0 the raw-basis Fit is computed as well and its coefficients
+// At lambda == 0 the raw-basis fit is computed as well and its coefficients
 // are kept whenever they explain the data at least as well as the
 // standardized solution — on well-conditioned inputs the two agree and the
 // legacy coefficients are returned bit-for-bit; on ill-conditioned inputs
-// (where Fit's elimination loses all precision) the standardized solution
+// (where fit's elimination loses all precision) the standardized solution
 // wins on RMSE and is used instead.
 func FitRidge(s *Samples, degree int, lambda float64) (FitResult, error) {
 	xs, ys := s.xs, s.ys
@@ -246,7 +246,7 @@ func FitRidge(s *Samples, degree int, lambda float64) (FitResult, error) {
 
 	poly := stdPoly
 	if lambda == 0 {
-		if legacy, lerr := Fit(xs, ys, degree); lerr == nil {
+		if legacy, lerr := fit(xs, ys, degree); lerr == nil {
 			var yabs float64
 			for _, y := range ys {
 				if v := math.Abs(y); v > yabs {

@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-// corpusCase mirrors the sample sets of the legacy Fit tests so the ridge
+// corpusCase mirrors the sample sets of the legacy fit tests so the ridge
 // path can be compared against them coefficient by coefficient.
 type corpusCase struct {
 	name   string
@@ -37,10 +37,10 @@ func legacyCorpus() []corpusCase {
 
 // Ridge at λ=0 must reproduce the legacy coefficients on the existing,
 // well-conditioned corpus — bit-for-bit for degrees ≥ 1, where FitRidge
-// delegates to Fit outright.
+// delegates to fit outright.
 func TestFitRidgeZeroMatchesLegacyCorpus(t *testing.T) {
 	for _, c := range legacyCorpus() {
-		legacy, err := Fit(c.xs, c.ys, c.degree)
+		legacy, err := fit(c.xs, c.ys, c.degree)
 		if err != nil {
 			t.Fatalf("%s: legacy fit: %v", c.name, err)
 		}
@@ -92,7 +92,7 @@ func TestFitDegree3LargeSizesConditioning(t *testing.T) {
 	}
 	ymean /= float64(len(ys))
 
-	if legacy, err := Fit(xs, ys, 3); err == nil {
+	if legacy, err := fit(xs, ys, 3); err == nil {
 		if rel := RMSE(legacy, xs, ys) / ymean; rel <= 0.01 {
 			t.Errorf("raw-basis fit unexpectedly healthy on ill-conditioned system (rel RMSE %g)", rel)
 		}
@@ -116,10 +116,10 @@ func TestFitDegree3LargeSizesConditioning(t *testing.T) {
 // detected at any scale — duplicate sizes near 1e6 used to slip past the
 // absolute 1e-12 check as cancellation noise.
 func TestSolvePivotRelativeToScale(t *testing.T) {
-	if _, err := Fit([]float64{1e6, 1e6, 2e6}, []float64{1, 2, 3}, 2); !errors.Is(err, ErrBadFit) {
+	if _, err := fit([]float64{1e6, 1e6, 2e6}, []float64{1, 2, 3}, 2); !errors.Is(err, ErrBadFit) {
 		t.Errorf("duplicate x at scale 1e6: err = %v, want ErrBadFit", err)
 	}
-	if _, err := Fit([]float64{5, 5, 5}, []float64{1, 2, 3}, 1); !errors.Is(err, ErrBadFit) {
+	if _, err := fit([]float64{5, 5, 5}, []float64{1, 2, 3}, 1); !errors.Is(err, ErrBadFit) {
 		t.Errorf("duplicate x at small scale: err = %v, want ErrBadFit", err)
 	}
 	// Healthy systems at the same scale still fit.
@@ -128,7 +128,7 @@ func TestSolvePivotRelativeToScale(t *testing.T) {
 	for i, x := range xs {
 		ys[i] = 1 + 2e-5*x
 	}
-	p, err := Fit(xs, ys, 1)
+	p, err := fit(xs, ys, 1)
 	if err != nil {
 		t.Fatalf("well-conditioned large-scale fit: %v", err)
 	}

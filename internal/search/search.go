@@ -13,15 +13,13 @@
 // (schema-2 variance) breaks ties: between otherwise indistinguishable
 // assignments the one the models are more certain about wins.
 //
-// Cost evaluation mirrors the online selector's fold (internal/core costAgg)
-// at the profile level: operation dimensions charge
-//
-//	TC_D = popN·cost(populate, s) + Contains·cost(contains, s)
-//	     + Iterates·cost(iterate, s) + Middles·cost(middle, s)
-//
-// with s the observed mean instance size and popN = Adds/s, while the
-// footprint dimension is retained state, charged once per instance at the
-// observed maximum size. Everything is deterministic for a fixed Config.Seed.
+// Costs are priced by perfmodel.Models.WorkloadCostSE, the same kernel the
+// online selector folds with (internal/core costAgg), so offline and online
+// selection share one cost function by construction. At the profile level
+// operation dimensions are evaluated at the observed mean instance size with
+// popN = Adds/s populations, and the footprint dimension is retained state,
+// charged once per instance at the observed maximum size. Everything is
+// deterministic for a fixed Config.Seed.
 package search
 
 import (
@@ -338,12 +336,23 @@ func Run(p Problem, cfg Config) (Result, error) {
 }
 
 // buildMatrix precomputes per-site candidate costs, dropping candidates the
-// models cannot evaluate on every requested dimension.
+// models cannot evaluate on every requested dimension, and prices the rest
+// at the profile level described in the package comment.
 func buildMatrix(p Problem, dims []perfmodel.Dimension) (matrix, error) {
 	m := matrix{sites: make([][]cell, len(p.Sites))}
 	for i, s := range p.Sites {
 		if len(s.Candidates) == 0 {
 			return m, fmt.Errorf("search: site %s has no candidates", s.Name)
+		}
+		w := s.Profile
+		mean := max(w.MeanSize, 1)
+		maxSize := max(float64(w.MaxSize), mean)
+		u := perfmodel.Usage{
+			Instances: max(float64(w.Instances), 1),
+			Populate:  w.Adds / mean,
+			Contains:  w.Contains,
+			Iterate:   w.Iterates,
+			Middle:    w.Middles,
 		}
 		hasBaseline := false
 		for _, v := range s.Candidates {
@@ -353,8 +362,15 @@ func buildMatrix(p Problem, dims []perfmodel.Dimension) (matrix, error) {
 				}
 				continue
 			}
-			cost, se := siteCost(p.Models, v, dims, s.Profile)
-			m.sites[i] = append(m.sites[i], cell{variant: v, cost: cost, se: se})
+			c := cell{variant: v, cost: make([]float64, len(dims)), se: make([]float64, len(dims))}
+			for k, dim := range dims {
+				size := mean
+				if dim == perfmodel.DimFootprint {
+					size = maxSize
+				}
+				c.cost[k], c.se[k], _ = p.Models.WorkloadCostSE(v, dim, u, size)
+			}
+			m.sites[i] = append(m.sites[i], c)
 			if v == s.Baseline {
 				hasBaseline = true
 			}
@@ -364,52 +380,6 @@ func buildMatrix(p Problem, dims []perfmodel.Dimension) (matrix, error) {
 		}
 	}
 	return m, nil
-}
-
-// siteCost evaluates one (site, candidate) pair on every objective
-// dimension, mirroring the online selector's fold at the profile level.
-func siteCost(models *perfmodel.Models, v collections.VariantID, dims []perfmodel.Dimension, w core.WorkloadProfile) (cost, se []float64) {
-	s := w.MeanSize
-	if s < 1 {
-		s = 1
-	}
-	smax := float64(w.MaxSize)
-	if smax < s {
-		smax = s
-	}
-	instances := float64(w.Instances)
-	if instances < 1 {
-		instances = 1
-	}
-	popN := w.Adds / s
-	cost = make([]float64, len(dims))
-	se = make([]float64, len(dims))
-	for k, dim := range dims {
-		if dim == perfmodel.DimFootprint {
-			// Retained state: charged once per instance at max size.
-			c, e, _ := models.CostSE(v, perfmodel.OpPopulate, dim, smax)
-			cost[k] = instances * c
-			se[k] = instances * e
-			continue
-		}
-		type term struct {
-			op perfmodel.Op
-			n  float64
-		}
-		for _, t := range []term{
-			{perfmodel.OpPopulate, popN},
-			{perfmodel.OpContains, w.Contains},
-			{perfmodel.OpIterate, w.Iterates},
-			{perfmodel.OpMiddle, w.Middles},
-		} {
-			c, e, _ := models.CostSE(v, t.op, dim, s)
-			cost[k] += t.n * c
-			// Correlated-sum accumulation, the online selector's
-			// conservative interval convention.
-			se[k] += t.n * e
-		}
-	}
-	return cost, se
 }
 
 func (m matrix) indexOf(site int, v collections.VariantID) int {

@@ -96,7 +96,13 @@ func TestDominates(t *testing.T) {
 func TestSiteCostMatchesHandComputation(t *testing.T) {
 	m := testModels()
 	dims := []perfmodel.Dimension{perfmodel.DimTimeNS, perfmodel.DimFootprint}
-	cost, _ := siteCost(m, vFast, dims, testProfile())
+	mx, err := buildMatrix(Problem{Sites: []Site{{
+		Name: "site", Baseline: vFast, Candidates: []collections.VariantID{vFast}, Profile: testProfile(),
+	}}, Models: m}, dims)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cost := mx.sites[0][0].cost
 	// popN = 100/10 = 10; time = (10+50+10+5)*1 = 75; footprint = 2*100.
 	if math.Abs(cost[0]-75) > 1e-9 {
 		t.Errorf("time cost = %v, want 75", cost[0])

@@ -1,8 +1,6 @@
 package tuner
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -30,9 +28,9 @@ type StoreData struct {
 // containing it. Unlike Open — the warm-start surface, which must never adopt
 // state measured elsewhere — ReadStore tolerates a machine-fingerprint
 // mismatch and merely reports it, because an offline search over a store
-// committed from another machine is a deliberate act; schema and decode
-// errors still fail. The result is a detached copy sharing nothing with any
-// live Store.
+// committed from another machine is a deliberate act; schema, decode and
+// impossible-profile errors still fail. The result is a detached copy
+// sharing nothing with any live Store.
 func ReadStore(path string) (StoreData, error) {
 	if fi, err := os.Stat(path); err == nil && fi.IsDir() {
 		path = filepath.Join(path, StoreFileName)
@@ -42,20 +40,11 @@ func ReadStore(path string) (StoreData, error) {
 	if err != nil {
 		return out, fmt.Errorf("tuner: reading store: %w", err)
 	}
-	var doc storeDoc
-	if err := json.Unmarshal(data, &doc); err != nil {
-		return out, fmt.Errorf("tuner: store %s: invalid JSON: %w", path, err)
+	doc, models, err := decodeStore(data)
+	if err != nil {
+		return out, fmt.Errorf("tuner: store %s: %w", path, err)
 	}
-	if doc.Schema != storeSchema {
-		return out, fmt.Errorf("tuner: store %s: unknown schema version %d (want %d)", path, doc.Schema, storeSchema)
-	}
-	if len(doc.Models) > 0 {
-		m, err := perfmodel.ReadJSON(bytes.NewReader(doc.Models))
-		if err != nil {
-			return out, fmt.Errorf("tuner: store %s: invalid model set: %w", path, err)
-		}
-		out.Models = m
-	}
+	out.Models = models
 	out.Sites = doc.Sites
 	out.Fingerprint = doc.Fingerprint
 	out.FingerprintMatches = doc.Fingerprint.Matches(perfmodel.CollectFingerprint())

@@ -53,22 +53,20 @@ type cellPoints struct {
 
 // cellUncertainty scores a cell by how unsure the active models are about
 // it: the summed per-op prediction standard error of the time curves at the
-// cell's size. A missing curve, or one fitted without variance, scores +Inf
-// — nothing is known there, so the planner measures it first.
+// cell's size, i.e. the kernel's SE of one call of each critical op. A
+// missing curve, or one fitted without variance, scores +Inf — nothing is
+// known there, so the planner measures it first.
 func cellUncertainty(models *perfmodel.Models, c shadowCell) float64 {
-	total := 0.0
-	s := float64(c.Size)
-	for _, op := range perfmodel.Ops() {
-		if !models.Has(c.ID, op, perfmodel.DimTimeNS) {
-			return math.Inf(1)
-		}
-		_, se, ok := models.CostSE(c.ID, op, perfmodel.DimTimeNS, s)
-		if !ok {
-			return math.Inf(1)
-		}
-		total += se
+	dims := []perfmodel.Dimension{perfmodel.DimTimeNS}
+	if _, _, missing := models.MissingCurve(c.ID, dims); missing {
+		return math.Inf(1)
 	}
-	return total
+	unit := perfmodel.Usage{Populate: 1, Contains: 1, Iterate: 1, Middle: 1}
+	_, se, ok := models.WorkloadCostSE(c.ID, perfmodel.DimTimeNS, unit, float64(c.Size))
+	if !ok {
+		return math.Inf(1)
+	}
+	return se
 }
 
 // shadowKeys mirrors the model builder's key scheme: n distinct shuffled

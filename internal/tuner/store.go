@@ -105,27 +105,14 @@ func (s *Store) load() {
 		}
 		return // cold start: nothing persisted yet
 	}
-	var doc storeDoc
-	if err := json.Unmarshal(data, &doc); err != nil {
-		s.reject(fmt.Sprintf("invalid JSON: %v", err))
-		return
-	}
-	if doc.Schema != storeSchema {
-		s.reject(fmt.Sprintf("unknown schema version %d (want %d)", doc.Schema, storeSchema))
+	doc, models, err := decodeStore(data)
+	if err != nil {
+		s.reject(err.Error())
 		return
 	}
 	if here := perfmodel.CollectFingerprint(); !doc.Fingerprint.Matches(here) {
 		s.reject(fmt.Sprintf("fingerprint mismatch: store %s, machine %s", doc.Fingerprint, here))
 		return
-	}
-	var models *perfmodel.Models
-	if len(doc.Models) > 0 {
-		m, err := perfmodel.ReadJSON(bytes.NewReader(doc.Models))
-		if err != nil {
-			s.reject(fmt.Sprintf("invalid model set: %v", err))
-			return
-		}
-		models = m
 	}
 	// Validation complete: adopt the state in one step (no partial loads).
 	s.mu.Lock()
@@ -145,6 +132,57 @@ func (s *Store) load() {
 		}
 		s.sink.Emit(obs.StoreLoaded{Path: path, Sites: len(doc.Sites), Curves: curves})
 	}
+}
+
+// maxProfileValue bounds every count and size of a persisted profile:
+// beyond 2^53 a float64 no longer counts by ones, so no engine can have
+// observed a larger value.
+const maxProfileValue = 1 << 53
+
+// decodeStore is the one decoder of store files, shared by Open and
+// ReadStore: JSON, schema version, site profiles and the nested model set
+// (nil when the file carries none). The fingerprint policy is the caller's.
+// Error texts double as StoreRejected reasons.
+func decodeStore(data []byte) (storeDoc, *perfmodel.Models, error) {
+	var doc storeDoc
+	if err := json.Unmarshal(data, &doc); err != nil {
+		return doc, nil, fmt.Errorf("invalid JSON: %w", err)
+	}
+	if doc.Schema != storeSchema {
+		return doc, nil, fmt.Errorf("unknown schema version %d (want %d)", doc.Schema, storeSchema)
+	}
+	for _, site := range doc.Sites {
+		if err := checkProfile(site.Profile); err != nil {
+			return doc, nil, fmt.Errorf("site %q: %w", site.Name, err)
+		}
+	}
+	if len(doc.Models) == 0 {
+		return doc, nil, nil
+	}
+	m, err := perfmodel.ReadJSON(bytes.NewReader(doc.Models))
+	if err != nil {
+		return doc, nil, fmt.Errorf("invalid model set: %w", err)
+	}
+	return doc, m, nil
+}
+
+// checkProfile rejects a workload profile no engine can have observed: a
+// negative, non-finite or implausibly large count, size or instance
+// number. Priced by the cost kernel, such a profile yields negative or
+// infinite costs and steers the offline search to the worst variant.
+func checkProfile(p core.WorkloadProfile) error {
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"adds", p.Adds}, {"contains", p.Contains}, {"iterates", p.Iterates}, {"middles", p.Middles},
+		{"instances", float64(p.Instances)}, {"mean_size", p.MeanSize}, {"max_size", float64(p.MaxSize)},
+	} {
+		if !(f.v >= 0 && f.v <= maxProfileValue) {
+			return fmt.Errorf("impossible profile: %s = %g", f.name, f.v)
+		}
+	}
+	return nil
 }
 
 // reject reports one discarded store file. The Store keeps its empty state.

@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	perfmodel -o models.json                  # full Table 3 plan (minutes)
+//	perfmodel -o models.json                  # full Table 3 plan (about 30 s)
 //	perfmodel -o models.json -quick           # reduced plan (seconds)
 //	perfmodel -abstraction set -quick         # only the set candidates
 //	perfmodel -variant list/array -quick      # one variant
@@ -15,7 +15,8 @@
 //
 // Targets come from the collections catalog, so variants registered through
 // collections.Register*Variant are benchmarked by the same driver as the
-// builtins.
+// builtins, and every cell is timed by perfmodel.MeasureCell, the kernel the
+// online tuner uses too.
 package main
 
 import (

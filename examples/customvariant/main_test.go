@@ -143,9 +143,6 @@ func TestCustomVariantSelectedEndToEnd(t *testing.T) {
 // TestCustomVariantBenchmarkable runs the empirical model builder over the
 // custom variant with a tiny plan — the same driver cmd/perfmodel uses.
 func TestCustomVariantBenchmarkable(t *testing.T) {
-	if testing.Short() {
-		t.Skip("benchmarking loop in -short mode")
-	}
 	target, ok := collections.BenchTargetFor(BitSetID)
 	if !ok {
 		t.Fatal("set/bitset has no benchmark target")

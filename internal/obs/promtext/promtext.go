@@ -9,6 +9,7 @@ package promtext
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"math"
@@ -41,6 +42,7 @@ type Family struct {
 func Parse(r io.Reader) ([]Family, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 8*1024*1024)
+	sc.Split(scanLF)
 	var fams []Family
 	index := make(map[string]int) // family name -> fams index
 	lineNo := 0
@@ -74,6 +76,18 @@ func Parse(r io.Reader) ([]Family, error) {
 		return nil, err
 	}
 	return fams, nil
+}
+
+// scanLF splits lines at '\n' alone, as the text format does. Unlike
+// bufio.ScanLines it keeps a trailing '\r', which is legal HELP text.
+func scanLF(data []byte, atEOF bool) (advance int, token []byte, err error) {
+	if i := bytes.IndexByte(data, '\n'); i >= 0 {
+		return i + 1, data[:i], nil
+	}
+	if atEOF && len(data) > 0 {
+		return len(data), data, nil
+	}
+	return 0, nil, nil
 }
 
 func missingMeta(f Family) string {

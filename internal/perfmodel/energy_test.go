@@ -110,9 +110,6 @@ func TestExtensionModelShapes(t *testing.T) {
 }
 
 func TestBuilderModelsGetEnergy(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builder benchmarks are slow")
-	}
 	built, err := measuredLists()
 	if err != nil {
 		t.Fatal(err)

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/collections"
+	"repro/internal/obs"
 	"repro/internal/polyfit"
 )
 
@@ -238,18 +239,18 @@ func TestDefaultPlanMatchesTable3(t *testing.T) {
 	}
 }
 
-// measuredLists benchmarks every list variant over a three-size QuickPlan
-// once per test binary: the build dominates the package's run time, and the
-// tests needing measured models only read them (mutators take a Clone).
+// measuredLists benchmarks every default list candidate over a three-size
+// QuickPlan once per test binary: the build dominates the package's run
+// time, and the tests needing measured models only read them (mutators take
+// a Clone).
 var measuredLists = sync.OnceValues(func() (measuredBuild, error) {
 	plan := QuickPlan()
 	plan.Sizes = []int{10, 50, 200}
 	b := NewBuilder(plan)
-	var out measuredBuild
-	b.Progress = func(collections.VariantID, Op) { out.progressed++ }
-	m, err := b.BuildLists()
-	out.models = m
-	return out, err
+	events := obs.NewCollector()
+	b.Sink = events
+	m, err := b.Build(collections.BenchTargets(collections.ListAbstraction))
+	return measuredBuild{models: m, progressed: len(events.Events())}, err
 })
 
 type measuredBuild struct {
@@ -258,9 +259,6 @@ type measuredBuild struct {
 }
 
 func TestBuilderQuickPlanLists(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builder benchmarks are slow")
-	}
 	built, err := measuredLists()
 	if err != nil {
 		t.Fatal(err)
@@ -277,7 +275,7 @@ func TestBuilderQuickPlanLists(t *testing.T) {
 		}
 	}
 	if progressed == 0 {
-		t.Error("progress callback never invoked")
+		t.Error("no benchmark progress events emitted")
 	}
 	// Sanity: the measured ArrayList contains cost must grow with size.
 	small := m.Cost(collections.ArrayListID, OpContains, DimTimeNS, 10)

@@ -12,8 +12,9 @@ type Plan struct {
 	// Degree is the polynomial degree fitted to the samples (paper: 3).
 	Degree int
 	// WarmupIters and MeasureIters follow the steady-state methodology of
-	// Section 4.1.2 (15 unmeasured, 30 measured). The builder exposes
-	// them so tests can run reduced plans.
+	// Section 4.1.2 (15 unmeasured, 30 measured): per operation and size,
+	// MeasureCell makes WarmupIters untimed calls and averages MeasureIters
+	// trusted batches (values below 1 mean one batch).
 	WarmupIters, MeasureIters int
 }
 

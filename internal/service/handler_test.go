@@ -214,3 +214,51 @@ func BenchmarkHandler(b *testing.B) {
 		})
 	}
 }
+
+// A scan over several windows gives the same count and sum from a monitored
+// instance as from an unmonitored one. In a fixed sortedarray service the
+// unmonitored instance answers through Range (sorted=true); the monitor
+// wrapper exposes only Set, so the monitored one takes the per-window
+// ForEach fallback (sorted=false).
+func TestRangeScanMonitoredMatchesUnmonitored(t *testing.T) {
+	cfg := testConfig(nil)
+	cfg.Fixed = "sortedarray"
+	svc, err := New(cfg)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	t.Cleanup(func() { svc.Shutdown(context.Background()) })
+	h := svc.Handler()
+	rec := newReplyRecorder()
+	// A fresh context monitors its first WindowSize instances only.
+	const t0, cnt = 5, 40
+	series := make([]string, cfg.Engine.WindowSize+1)
+	for i := range series {
+		series[i] = fmt.Sprintf("w%d", i)
+		serveTarget(t, h, rec, fmt.Sprintf("/range/add?series=%s&t=%d&cnt=%d", series[i], t0, cnt))
+	}
+	const from, to, windows = 0, 5000, 6
+	var wantCount, wantSum int64
+	for w := int64(0); w < windows; w++ {
+		for i := int64(0); i < cnt; i++ {
+			if v := t0 + i*batchStride; v >= from+w*(to-from) && v <= to+w*(to-from) {
+				wantCount++
+				wantSum += v
+			}
+		}
+	}
+	want := fmt.Sprintf("%d %d", wantCount, wantSum)
+	for _, tc := range []struct {
+		series string
+		sorted bool
+	}{{series[0], false}, {series[len(series)-1], true}} {
+		serveTarget(t, h, rec, fmt.Sprintf("/range/scan?series=%s&from=%d&to=%d&cnt=%d", tc.series, from, to, windows))
+		got := strings.TrimSpace(string(rec.body))
+		if wantReply := fmt.Sprintf("%s sorted=%v", want, tc.sorted); got != wantReply {
+			t.Errorf("scan of %s = %q, want %q", tc.series, got, wantReply)
+		}
+	}
+	if m := svc.Registry().InstancesMonitored.Load(); m != int64(cfg.Engine.WindowSize) {
+		t.Errorf("%d instances monitored, want %d", m, cfg.Engine.WindowSize)
+	}
+}

@@ -639,9 +639,12 @@ func (a *scanWindow) visit(v int64) bool {
 }
 
 // handleRangeScan answers an ordered scan over one series: count and sum of
-// the elements in [from, to]. When the live instance is a sorted variant it
-// answers via Range in O(log n + k); otherwise it falls back to a full
-// filtered iteration — the asymmetry the engine's scan-phase switches buy.
+// the elements in [from, to], over cnt stepped windows. An unmonitored
+// instance of a sorted variant answers each window via Range in
+// O(log n + k); any other instance, including every monitored one (the
+// monitor wrapper exposes only Set), falls back to a full filtered ForEach
+// per window and replies sorted=false — the asymmetry the engine's
+// scan-phase switches buy.
 func (s *Service) handleRangeScan(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.RawQuery
 	series := queryValue(q, "series")

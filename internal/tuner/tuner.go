@@ -203,24 +203,24 @@ func (t *Tuner) RunOnce() int {
 				continue
 			}
 			start := time.Now()
-			pts := measureCell(target.Adapter, c.Size, start.Add(t.cfg.MaxCellTime))
+			cell := perfmodel.MeasureCell(target.Adapter, c.Size, 0, seBatches, start.Add(t.cfg.MaxCellTime))
 			spent := time.Since(start).Nanoseconds()
 			t.shadowNs.Add(spent)
 			cycleShadow += spent
-			if len(pts.timeNs) == 0 {
+			if len(cell.Ops) == 0 {
 				continue
 			}
 			t.mu.Lock()
 			t.measured[c] = true
 			size := float64(c.Size)
-			for op, ns := range pts.timeNs {
+			for op, s := range cell.Ops {
 				k := pointKey{c.ID, op, perfmodel.DimTimeNS}
-				t.points[k] = append(t.points[k], perfmodel.MeasuredPoint{Size: size, Value: ns, SE: pts.timeSE[op]})
+				t.points[k] = append(t.points[k], perfmodel.MeasuredPoint{Size: size, Value: s.NS, SE: s.SE})
 			}
-			if pts.footOK {
+			if cell.FootprintOK {
 				// The cost fold charges footprint through the populate curve.
 				k := pointKey{c.ID, perfmodel.OpPopulate, perfmodel.DimFootprint}
-				t.points[k] = append(t.points[k], perfmodel.MeasuredPoint{Size: size, Value: pts.footprint})
+				t.points[k] = append(t.points[k], perfmodel.MeasuredPoint{Size: size, Value: cell.Footprint})
 			}
 			t.mu.Unlock()
 			fresh++

@@ -3,7 +3,6 @@ package tuner
 import (
 	"math"
 	"testing"
-	"time"
 
 	"repro/internal/collections"
 	"repro/internal/core"
@@ -58,20 +57,5 @@ func TestPlanRanksCellsByModelUncertainty(t *testing.T) {
 	}
 	if s := cellUncertainty(e.Models(), shadowCell{ID: "missing", Size: 8}); !math.IsInf(s, 1) {
 		t.Errorf("missing-curve cell score = %g, want +Inf", s)
-	}
-}
-
-// timeOp reports a spread-based standard error once several trusted batches
-// fit the deadline, and stays ok=false on an expired deadline.
-func TestTimeOpStandardError(t *testing.T) {
-	ns, se, ok := timeOp(time.Now().Add(time.Second), func() {})
-	if !ok || ns <= 0 {
-		t.Fatalf("timeOp = (%g, %g, %v), want positive per-call time", ns, se, ok)
-	}
-	if se < 0 || math.IsNaN(se) {
-		t.Errorf("se = %g, want finite and non-negative", se)
-	}
-	if _, _, ok := timeOp(time.Now().Add(-time.Millisecond), func() {}); ok {
-		t.Error("expired deadline still measured")
 	}
 }
